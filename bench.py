@@ -19,7 +19,9 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+# default to the CPUs this process may run on, so a bare run never
+# oversubscribes the host
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0))))
 
 
 def _corpus_rows_for_sf(sf_dir: str) -> int:

@@ -1,8 +1,12 @@
 """Deterministic HTML main-content extraction (Readability/jusText-style).
 
-Pure Python + stdlib ``html.parser``; no Ray, no external deps.  This is the
-single code path shared by the single-process oracle and the Ray pipeline, so
-per-url byte-identity of ``text`` holds by construction (SURVEY.md §7.3).
+Pure Python + stdlib; no Ray, no external deps.  This is the single code path
+shared by the single-process oracle and the Ray pipeline, so per-url
+byte-identity of ``text`` holds by construction (SURVEY.md §7.3).
+
+The kernel is one ``re.split`` that tokenizes a document in C, then one loop
+running the block state machine over the tokens.  A second tokenizer, the
+stdlib ``HTMLParser``, feeds the same machine as a cross-check.
 
 Semantics preserved from the reference's per-document convert shape
 (``/root/reference/docling_jobkit/datamodel/exportable_document.py:53-122``):
@@ -23,9 +27,9 @@ collapsed to single spaces, blocks joined with "\\n\\n", char offsets.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
+from html import unescape as _unescape
 from html.parser import HTMLParser
 
 # Block kinds (FIXTURES.md §3 span kinds).
@@ -71,6 +75,13 @@ class Block:
         return self.anchor_chars / len(self.text)
 
 
+_DOC_JSON_FMT = (
+    '{"n_blocks_kept":%d,"n_blocks_total":%d,"n_chars":%d,'
+    '"schema":"docling-jobkit-ray/extracted@1","spans":[%s]}'
+)
+_SPAN_JSON_FMT = '{"end":%d,"kind":"%s","start":%d}'
+
+
 @dataclass
 class ExtractedDoc:
     """The per-document record (ExportableDocument-equivalent)."""
@@ -81,147 +92,65 @@ class ExtractedDoc:
     n_blocks_kept: int = 0
 
     def doc_json(self) -> str:
-        # DoclingDocument-equivalent JSON: deterministic key order and
-        # compact separators so it is byte-stable.
-        payload = {
-            "schema": "docling-jobkit-ray/extracted@1",
-            "n_chars": len(self.text),
-            "n_blocks_total": self.n_blocks_total,
-            "n_blocks_kept": self.n_blocks_kept,
-            "spans": [
-                {"end": s["end"], "kind": s["kind"], "start": s["start"]}
-                for s in self.spans
-            ],
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-class _BlockParser(HTMLParser):
-    """Segments an HTML document into text blocks with anchor-char counts."""
-
-    def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
-        self.blocks: list[Block] = []
-        self._parts: list[str] = []
-        self._anchor_chars = 0
-        self._skip_depth = 0
-        self._boiler_depth = 0
-        self._anchor_depth = 0
-        self._kind_stack: list[str] = []  # nested kind contexts (heading/li/td...)
-        self._table_depth = 0
-
-    # -- block management -------------------------------------------------
-    def _current_kind(self) -> str:
-        if self._kind_stack:
-            return self._kind_stack[-1]
-        if self._table_depth > 0:
-            return KIND_TABLE
-        return KIND_PARAGRAPH
-
-    def _flush(self) -> None:
-        raw = "".join(self._parts)
-        self._parts = []
-        anchor = self._anchor_chars
-        self._anchor_chars = 0
-        text = " ".join(raw.split())
-        if not text:
-            return
-        # anchor_chars was counted on raw text; clamp to normalized length.
-        anchor = min(anchor, len(text))
-        self.blocks.append(
-            Block(
-                kind=self._current_kind(),
-                text=text,
-                anchor_chars=anchor,
-                in_boiler=self._boiler_depth > 0,
-            )
+        # DoclingDocument-equivalent JSON, byte-equal to
+        # json.dumps(payload, sort_keys=True, separators=(",", ":")): the
+        # fragments are laid out in sorted-key order and span kinds are the
+        # fixed ASCII KIND_* constants, which need no escaping.
+        fmt = _SPAN_JSON_FMT
+        spans = ",".join([fmt % (s["end"], s["kind"], s["start"]) for s in self.spans])
+        return _DOC_JSON_FMT % (
+            self.n_blocks_kept, self.n_blocks_total, len(self.text), spans
         )
 
-    # -- HTMLParser hooks -------------------------------------------------
-    def handle_starttag(self, tag: str, attrs) -> None:
-        tag = tag.lower()
-        if tag in _BLOCK_TAGS:
-            self._flush()
-        if tag in _VOID_TAGS:
-            return
-        if tag in _SKIP_TAGS:
-            self._skip_depth += 1
-        if tag in _BOILER_TAGS:
-            self._boiler_depth += 1
-        if tag == "a":
-            self._anchor_depth += 1
-        if tag in _HEADING_TAGS:
-            self._kind_stack.append(KIND_HEADING)
-        elif tag == "li":
-            self._kind_stack.append(KIND_LIST_ITEM)
-        elif tag in ("td", "th"):
-            self._kind_stack.append(KIND_TABLE)
-        if tag == "table":
-            self._table_depth += 1
-
-    def handle_endtag(self, tag: str) -> None:
-        tag = tag.lower()
-        if tag in _BLOCK_TAGS:
-            self._flush()
-        if tag in _VOID_TAGS:
-            return
-        if tag in _SKIP_TAGS and self._skip_depth > 0:
-            self._skip_depth -= 1
-        if tag in _BOILER_TAGS and self._boiler_depth > 0:
-            self._boiler_depth -= 1
-        if tag == "a" and self._anchor_depth > 0:
-            self._anchor_depth -= 1
-        if tag in _HEADING_TAGS and self._kind_stack and self._kind_stack[-1] == KIND_HEADING:
-            self._kind_stack.pop()
-        elif tag == "li" and self._kind_stack and self._kind_stack[-1] == KIND_LIST_ITEM:
-            self._kind_stack.pop()
-        elif tag in ("td", "th") and self._kind_stack and self._kind_stack[-1] == KIND_TABLE:
-            self._kind_stack.pop()
-        if tag == "table" and self._table_depth > 0:
-            self._table_depth -= 1
-
-    def handle_data(self, data: str) -> None:
-        if self._skip_depth > 0 or not data:
-            return
-        self._parts.append(data)
-        if self._anchor_depth > 0:
-            self._anchor_chars += len(" ".join(data.split()))
-
-    def close(self) -> None:  # flush trailing text
-        super().close()
-        self._flush()
-
-
-def segment_blocks_htmlparser(html_text: str) -> list[Block]:
-    """Reference tokenizer path (stdlib HTMLParser).  Kept for cross-checking
-    the fast scanner; ~3x slower."""
-    parser = _BlockParser()
-    parser.feed(html_text)
-    parser.close()
-    return parser.blocks
-
 
 # ---------------------------------------------------------------------------
-# fast scanner: one compiled-regex pass instead of HTMLParser's char loop
+# tokenizer: one re.split classifies every '<' in C
 # ---------------------------------------------------------------------------
 
-_TAG_NAME_RE = re.compile(r"(/?)\s*([a-zA-Z][a-zA-Z0-9:_-]*)")
-# full tag in one C call: name + attrs up to the closing '>'
-_FULLTAG_RE = re.compile(r"(/?)\s*([a-zA-Z][a-zA-Z0-9:_-]*)[^>]*>")
-# raw-text elements whose content must be skipped to the matching close tag;
-# the close search is a precompiled case-insensitive regex (C-speed, no
-# full-document .lower() copy — that copy was a measurable share of the
-# kernel's memory traffic)
+_NAME_CHARS = "a-zA-Z0-9:_-"
+# Raw-text elements: an open tag (not self-closing) swallows its content up
+# to the case-insensitive "</name", or to the end of input when unclosed.
 _RAWTEXT_TAGS = ("script", "style", "textarea", "title")
-_RAWTEXT_CLOSE_RE = {t: re.compile("</" + t, re.IGNORECASE) for t in _RAWTEXT_TAGS}
-_AMP = "&"
 
 
-# Precomputed per-tag dispatch for the fast scanner: ONE dict lookup per tag
-# instead of seven set-membership tests (starttag/endtag are the hottest
-# Python calls in the whole engine).  Flags are DERIVED from the same tag
-# sets the stdlib _BlockParser path reads directly, so the two tokenizers
-# cannot drift (tests/test_html_fuzz.py asserts block-level parity).
+def _rawtext_alternative(tag: str) -> str:
+    # the name matches ASCII letters of any case, as tag names do; the close
+    # search is a Unicode case-insensitive literal, as it always was
+    ascii_any_case = "".join(f"[{c}{c.upper()}]" for c in tag)
+    return (
+        f"{ascii_any_case}(?![{_NAME_CHARS}])[^>]*(?<!/)>"
+        f"(?:.*?(?=(?i:</{tag}))|.*)"
+    )
+
+
+# One token per '<'; re.split returns (text, raw, slash, name, rest, bare)
+# for each, text being the data before it:
+#   raw   name of a raw-text start tag (content already swallowed), read by
+#         a lookahead over its letters;
+#   slash/name/rest   a tag: "/" or "", its name, the attributes up to '>';
+#   bare  "" for a '<' that starts no token: a "<" data call of its own.
+# Comments, declarations, processing instructions and a tag with no closing
+# '>' (which runs to the end of input) capture nothing and change no state;
+# when unterminated they swallow the rest of the input.  Every alternative
+# sits behind the one literal '<', so the regex engine scans for it in C.
+_TOKEN_RE = re.compile(
+    "<(?:"
+    rf"\s*(?=([a-zA-Z]+))(?:{'|'.join(_rawtext_alternative(t) for t in _RAWTEXT_TAGS)})"
+    r"|!--(?:.*?-->|.*)"
+    r"|[!?][^>]*>?"
+    rf"|(/?)\s*([a-zA-Z][{_NAME_CHARS}]*)([^>]*)>"
+    r"|/?\s*[a-zA-Z].*"
+    r"|()"
+    ")",
+    re.DOTALL,
+)
+# closes the last text segment of a split with a "</p>" record: a block
+# tag with no other effect, so it flushes the last block
+_END_TOKEN = (None, "/", "p", "", None)
+
+
+# Per-tag dispatch: ONE dict lookup per tag instead of seven set-membership
+# tests.  Keys are lower-case; tags outside the table change no state.
 def _compute_tag_flags(tag: str) -> tuple:
     if tag in _HEADING_TAGS:
         kind = KIND_HEADING
@@ -249,176 +178,130 @@ _SPECIAL_TAGS = (
 _TAG_FLAGS = {t: _compute_tag_flags(t) for t in _SPECIAL_TAGS}
 
 
-class _BlockBuilder:
-    """The tag/text state machine shared by both tokenizers (identical
-    semantics to the _BlockParser hooks above)."""
+def _build_blocks(tokens: list, unescape) -> list[Block]:
+    """The block state machine: walk ``(text, raw, slash, name, rest, bare)``
+    records (the layout of ``_TOKEN_RE.split``), applying ``unescape`` to
+    text containing '&'.
 
-    __slots__ = (
-        "blocks", "_parts", "_anchor_chars", "_skip_depth", "_boiler_depth",
-        "_anchor_depth", "_kind_stack", "_table_depth",
-    )
-
-    def __init__(self) -> None:
-        self.blocks: list[Block] = []
-        self._parts: list[str] = []
-        self._anchor_chars = 0
-        self._skip_depth = 0
-        self._boiler_depth = 0
-        self._anchor_depth = 0
-        self._kind_stack: list[str] = []
-        self._table_depth = 0
-
-    def _flush(self) -> None:
-        if not self._parts:
-            self._anchor_chars = 0
-            return
-        raw = "".join(self._parts)
-        self._parts = []
-        anchor = self._anchor_chars
-        self._anchor_chars = 0
-        text = " ".join(raw.split())
-        if not text:
-            return
-        if self._kind_stack:
-            kind = self._kind_stack[-1]
-        elif self._table_depth > 0:
-            kind = KIND_TABLE
-        else:
-            kind = KIND_PARAGRAPH
-        self.blocks.append(
-            Block(
-                kind=kind,
-                text=text,
-                anchor_chars=min(anchor, len(text)),
-                in_boiler=self._boiler_depth > 0,
-            )
-        )
-
-    def starttag(self, tag: str) -> None:
-        f = _TAG_FLAGS.get(tag)
+    Each non-empty text is one data call: skipped under a skip tag, else
+    appended to the open block, and inside an anchor its whitespace-collapsed
+    length counts as anchor chars.  A block tag (start or end) flushes the
+    open block; a self-closing start tag is a start+end pair, which nets to
+    that flush alone.  The caller ends ``tokens`` with ``_END_TOKEN``."""
+    blocks: list[Block] = []
+    blocks_append = blocks.append
+    parts: list[str] = []
+    parts_append = parts.append
+    kind_stack: list[str] = []
+    anchor_chars = skip = boiler = anchor = table = 0
+    flags_get = _TAG_FLAGS.get
+    it = iter(tokens)
+    for text, raw, slash, name, rest, bare in zip(it, it, it, it, it, it):
+        if text and not skip:
+            if "&" in text:
+                text = unescape(text)
+            parts_append(text)
+            if anchor:
+                anchor_chars += len(" ".join(text.split()))
+        if name is None:
+            if raw is None:
+                if bare is not None and not skip:
+                    parts_append("<")
+                    if anchor:
+                        anchor_chars += 1
+                continue
+            name, slash, rest = raw, "", ""
+        f = flags_get(name)
         if f is None:
-            return  # non-special tag: no state change (same as the set path)
+            f = flags_get(name.lower())
+            if f is None:
+                continue
         is_block, is_void, is_skip, is_boiler, kind, is_anchor, is_table = f
-        if is_block and (self._parts or self._anchor_chars):
-            self._flush()
+        if is_block and parts:
+            joined = " ".join("".join(parts).split())
+            parts.clear()
+            if joined:
+                blocks_append(
+                    Block(
+                        kind_stack[-1] if kind_stack
+                        else KIND_TABLE if table else KIND_PARAGRAPH,
+                        joined,
+                        min(anchor_chars, len(joined)),
+                        boiler > 0,
+                    )
+                )
+            anchor_chars = 0
         if is_void:
-            return
-        if is_skip:
-            self._skip_depth += 1
-        if is_boiler:
-            self._boiler_depth += 1
-        if is_anchor:
-            self._anchor_depth += 1
-        if kind is not None:
-            self._kind_stack.append(kind)
-        if is_table:
-            self._table_depth += 1
-
-    def endtag(self, tag: str) -> None:
-        f = _TAG_FLAGS.get(tag)
-        if f is None:
-            return
-        is_block, is_void, is_skip, is_boiler, kind, is_anchor, is_table = f
-        if is_block and (self._parts or self._anchor_chars):
-            self._flush()
-        if is_void:
-            return
-        if is_skip and self._skip_depth > 0:
-            self._skip_depth -= 1
-        if is_boiler and self._boiler_depth > 0:
-            self._boiler_depth -= 1
-        if is_anchor and self._anchor_depth > 0:
-            self._anchor_depth -= 1
-        if kind is not None and self._kind_stack and self._kind_stack[-1] == kind:
-            self._kind_stack.pop()
-        if is_table and self._table_depth > 0:
-            self._table_depth -= 1
-
-    def data(self, text: str) -> None:
-        if self._skip_depth > 0 or not text:
-            return
-        self._parts.append(text)
-        if self._anchor_depth > 0:
-            self._anchor_chars += len(" ".join(text.split()))
-
-    def finish(self) -> list[Block]:
-        self._flush()
-        return self.blocks
+            continue
+        if slash:
+            if is_skip and skip:
+                skip -= 1
+            if is_boiler and boiler:
+                boiler -= 1
+            if is_anchor and anchor:
+                anchor -= 1
+            if kind is not None and kind_stack and kind_stack[-1] == kind:
+                kind_stack.pop()
+            if is_table and table:
+                table -= 1
+        elif rest[-1:] != "/":
+            if is_skip:
+                skip += 1
+            if is_boiler:
+                boiler += 1
+            if is_anchor:
+                anchor += 1
+            if kind is not None:
+                kind_stack.append(kind)
+            if is_table:
+                table += 1
+    return blocks
 
 
 def segment_blocks(html_text: str) -> list[Block]:
-    """Fast single-pass tokenizer driving the same block state machine.
+    """Segment a document into text blocks: one ``re.split`` tokenizes it,
+    one loop runs the block state machine.
 
-    Semantics match the HTMLParser path on well-formed HTML (cross-checked
-    in tests); known divergences: (1) a literal '>' inside a quoted
-    attribute value terminates the tag early; (2) MARKUP inside
-    <textarea> — both paths drop textarea text (form UI is boilerplate;
-    textarea is in _SKIP_TAGS), but this scanner blind-jumps to the close
-    tag while HTMLParser still interprets nested tags as structure.
-    ~4x faster — this is the hot kernel of the whole engine, so the
-    tokenizer matters."""
-    import html as _htmlmod
+    Quirks of the tokenizer (frozen by tests/test_extract_golden.py): a
+    '>' inside a quoted attribute value ends the tag; a tag is self-closing
+    iff the character before its '>' is '/'; "< p>" is a tag; a raw-text
+    element ends at any "</name" prefix ("</scriptx" included); a tag with
+    no '>', an unterminated comment or an unclosed raw-text element drops
+    the rest of the input; markup inside <textarea> is skipped as raw text,
+    where HTMLParser still sees its tags."""
+    tokens = _TOKEN_RE.split(html_text)
+    tokens.extend(_END_TOKEN)
+    return _build_blocks(tokens, _unescape)
 
-    b = _BlockBuilder()
-    n = len(html_text)
-    pos = 0
-    find = html_text.find
-    unescape = _htmlmod.unescape
-    data = b.data
-    fulltag_match = _FULLTAG_RE.match
-    while pos < n:
-        lt = find("<", pos)
-        if lt < 0:
-            seg = html_text[pos:]
-            if seg:
-                data(unescape(seg) if _AMP in seg else seg)
-            break
-        if lt > pos:
-            seg = html_text[pos:lt]
-            data(unescape(seg) if _AMP in seg else seg)
-        # classify the tag
-        nxt = html_text[lt + 1 : lt + 2]
-        if nxt == "!":
-            if html_text.startswith("<!--", lt):
-                end = find("-->", lt + 4)
-                pos = n if end < 0 else end + 3
-            else:  # doctype / CDATA-ish
-                end = find(">", lt + 2)
-                pos = n if end < 0 else end + 1
-            continue
-        if nxt == "?":  # processing instruction
-            end = find(">", lt + 2)
-            pos = n if end < 0 else end + 1
-            continue
-        m = fulltag_match(html_text, lt + 1)
-        if not m:
-            if _TAG_NAME_RE.match(html_text, lt + 1):
-                break  # truncated tag at EOF: drop the remainder
-            # stray '<' treated as text (HTMLParser emits it as data)
-            data("<")
-            pos = lt + 1
-            continue
-        end = m.end() - 1
-        slash, tag = m.group(1, 2)
-        closing = slash == "/"
-        if not tag.islower():  # already-lowercase tags skip the copy
-            tag = tag.lower()
-        self_closing = html_text[end - 1] == "/"
-        if closing:
-            b.endtag(tag)
-        else:
-            b.starttag(tag)
-            if self_closing:
-                b.endtag(tag)
-            elif tag in _RAWTEXT_TAGS:
-                # jump over raw content to the matching close tag
-                mm = _RAWTEXT_CLOSE_RE[tag].search(html_text, end + 1)
-                if mm is None:
-                    pos = n
-                    continue
-                end = mm.start() - 1  # next loop starts at the close tag
-        pos = end + 1
-    return b.finish()
+
+class _TokenParser(HTMLParser):
+    """Replays stdlib HTMLParser callbacks as token records (text already
+    unescaped): one record per data call, start tag and end tag."""
+
+    def __init__(self) -> None:
+        super().__init__(convert_charrefs=True)
+        self.tokens: list = []
+
+    def handle_starttag(self, tag: str, attrs) -> None:
+        self.tokens += ("", None, "", tag, "", None)
+
+    def handle_endtag(self, tag: str) -> None:
+        self.tokens += ("", None, "/", tag, "", None)
+
+    def handle_data(self, data: str) -> None:
+        self.tokens += (data, None, None, None, None, None)
+
+
+def segment_blocks_htmlparser(html_text: str) -> list[Block]:
+    """Reference tokenizer (stdlib HTMLParser) feeding the same block state
+    machine as ``segment_blocks``; the cross-check for the regex tokenizer
+    (tests/test_html_fuzz.py)."""
+    parser = _TokenParser()
+    parser.feed(html_text)
+    parser.close()
+    parser.tokens += ("",) + _END_TOKEN
+    # text arrives unescaped: str() passes it through unchanged
+    return _build_blocks(parser.tokens, str)
 
 
 def classify_blocks(

@@ -5667,6 +5667,43 @@ _BUDGET_PPM = 250_000
 _RATIO_SCALE = 1024
 
 
+def _budget_cut(
+    lo: int, hi: int, budget: int, hist, nbins: int
+) -> tuple[int, int]:
+    """The histogram refine of ``token_budget_select``: find r* = the
+    smallest ratio whose strictly-above token mass fits ``budget``, tracking
+    that mass exactly.  ``[lo, hi]`` is the ratio range; ``hist(cur_lo,
+    span)`` returns the ``nbins`` token sums of bins ``(ratio - cur_lo) *
+    nbins // span`` over ratios in ``[cur_lo, cur_lo + span - 1]``.
+    Returns ``(r*, mass above r*)``; r* is ``lo - 1`` when everything fits."""
+    tokens_above = 0  # token mass at ratios strictly above [lo, hi]
+    while lo < hi:
+        span = hi - lo + 1
+        cur_lo = lo
+        bins = hist(cur_lo, span)
+        # walk bins from the TOP: the cut bin is the first where the
+        # cumulative from above exceeds the remaining budget
+        cut_bin = 0
+        for k in range(nbins - 1, -1, -1):
+            if tokens_above + bins[k] > budget:
+                cut_bin = k
+                break
+            tokens_above += bins[k]
+        else:
+            # everything fits: cut below the range
+            cut_bin = -1
+        if cut_bin < 0:
+            lo = hi = cur_lo - 1  # sentinel: all of [lo, hi] selected
+            break
+        # new range = the cut bin's value interval: bin k holds the values
+        # v - cur_lo in [ceil(k*span/nbins), ceil((k+1)*span/nbins) - 1],
+        # non-empty since the bin has mass; bins above it were consumed into
+        # tokens_above already
+        lo = cur_lo + (cut_bin * span + nbins - 1) // nbins
+        hi = cur_lo + ((cut_bin + 1) * span + nbins - 1) // nbins - 1
+    return lo, int(tokens_above)
+
+
 def token_budget_select(
     sf_dir: str, *, budget_ppm: int = _BUDGET_PPM
 ) -> ray.data.Dataset:
@@ -5745,15 +5782,10 @@ def token_budget_select(
     total = sum(int(r["tok"]) for r in parts)
     budget = total * budget_ppm // 1_000_000
 
-    # refine: find r* = smallest ratio whose strictly-above token mass
-    # fits the budget, tracking that mass exactly
     nbins = 1024
-    tokens_above = 0  # token mass at ratios strictly above [lo, hi]
-    while lo < hi:
-        span = hi - lo + 1
-        cur_lo, cur_hi = lo, hi
 
-        def hist_partial(batch: pa.Table, cur_lo=cur_lo, span=span) -> pa.Table:
+    def hist(cur_lo: int, span: int) -> np.ndarray:
+        def hist_partial(batch: pa.Table) -> pa.Table:
             if batch.num_rows == 0 or batch.num_columns == 0:
                 return pa.schema(
                     [("bin", pa.int64()), ("tok", pa.int64())]
@@ -5783,29 +5815,10 @@ def token_budget_select(
         bins = np.zeros(nbins, np.int64)
         for r in rows:
             bins[int(r["bin"])] = int(r["tok"])
-        # walk bins from the TOP: the cut bin is the first where the
-        # cumulative from above exceeds the remaining budget
-        cut_bin = 0
-        for k in range(nbins - 1, -1, -1):
-            if tokens_above + bins[k] > budget:
-                cut_bin = k
-                break
-            tokens_above += bins[k]
-        else:
-            # everything fits: cut below the range
-            cut_bin = -1
-        if cut_bin < 0:
-            lo = hi = cur_lo - 1  # sentinel: all of [lo, hi] selected
-            break
-        # new range = the cut bin's value interval
-        new_lo = cur_lo + (cut_bin * span + nbins - 1) // nbins  # ceil
-        new_hi = cur_lo + ((cut_bin + 1) * span) // nbins - 1
-        # bins above cut_bin were consumed into tokens_above already
-        lo, hi = new_lo, min(new_hi, cur_hi)
-        if lo >= hi:
-            lo = hi = max(lo, min(hi, cur_hi))
-            break
-    rstar = lo  # docs with ratio > rstar are all selected
+        return bins
+
+    # docs with ratio > rstar are all selected; tokens_above is their mass
+    rstar, tokens_above = _budget_cut(lo, hi, budget, hist, nbins)
 
     # tie fill: docs AT rstar in doc_id order until the budget is spent
     remaining = budget - tokens_above

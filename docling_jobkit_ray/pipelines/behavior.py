@@ -4143,7 +4143,8 @@ def ab_cuped_uplift(sf_dir: str) -> pa.Table:
     negative); each arm's adjusted mean is ``(Sy * 1e6 - theta_e6 * Sx)
     trunc-div n`` so only that single quantization ever compounds.
     Output one row: (n_c, n_t, theta_e6, raw_uplift_e6, cuped_uplift_e6)
-    in 1e-6-cent units.
+    in 1e-6-cent units.  An arm with no users gives NULL for its count and
+    both uplifts, as in the SQL oracle.
 
     Plan shape: one user-bucket exchange folds per-user (x, y) pairs and
     collapses each bucket to per-arm moment partials (n, Sx, Sy, Sxx,
@@ -4280,16 +4281,22 @@ def ab_cuped_uplift(sf_dir: str) -> pa.Table:
         return q if (a >= 0) == (b >= 0) else -q
 
     n_c, n_t = tot[0][0], tot[1][0]
-    raw = _tdiv(tot[1][2] * 1_000_000, n_t) - _tdiv(tot[0][2] * 1_000_000, n_c)
-    adj_t = _tdiv(tot[1][2] * 1_000_000 - theta_e6 * tot[1][1], n_t)
-    adj_c = _tdiv(tot[0][2] * 1_000_000 - theta_e6 * tot[0][1], n_c)
+    if n_c and n_t:
+        raw = _tdiv(tot[1][2] * 1_000_000, n_t) - _tdiv(tot[0][2] * 1_000_000, n_c)
+        adj_t = _tdiv(tot[1][2] * 1_000_000 - theta_e6 * tot[1][1], n_t)
+        adj_c = _tdiv(tot[0][2] * 1_000_000 - theta_e6 * tot[0][1], n_c)
+        cuped = adj_t - adj_c
+    else:
+        # an empty arm has no row in the oracle's per-arm subqueries: its
+        # count and both uplifts are NULL
+        raw = cuped = None
     return pa.table(
         {
-            "n_c": pa.array([n_c], pa.int64()),
-            "n_t": pa.array([n_t], pa.int64()),
+            "n_c": pa.array([n_c or None], pa.int64()),
+            "n_t": pa.array([n_t or None], pa.int64()),
             "theta_e6": pa.array([theta_e6], pa.int64()),
             "raw_uplift_e6": pa.array([raw], pa.int64()),
-            "cuped_uplift_e6": pa.array([adj_t - adj_c], pa.int64()),
+            "cuped_uplift_e6": pa.array([cuped], pa.int64()),
         }
     )
 

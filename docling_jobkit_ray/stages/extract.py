@@ -162,16 +162,5 @@ class ExtractDocuments:
         return rows_to_extracted_table(rows)
 
 
-def extract_documents_fn(options: ExtractOptions):
-    """Stateless-task variant of the same UDF (for cheap configs where an
-    actor pool is unnecessary)."""
-    udf = ExtractDocuments(options)
-
-    def _fn(batch: pa.Table) -> pa.Table:
-        return udf(batch)
-
-    return _fn
-
-
 def options_to_kwargs(options: ExtractOptions) -> dict:
     return asdict(options)

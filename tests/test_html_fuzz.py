@@ -1,9 +1,10 @@
-"""Property-based parity: fast scanner == HTMLParser path on generated HTML.
+"""Property-based parity: regex tokenizer == HTMLParser tokenizer.
 
-The fast tokenizer (extract/html.py segment_blocks) must produce identical
-blocks to the stdlib-HTMLParser reference path on any HTML the corpus domain
-can contain.  Known, documented divergence (literal '>' inside quoted
-attribute values) is excluded from the generator.
+Both tokenizers in extract/html.py drive the one block state machine;
+``segment_blocks`` (one ``re.split``) must produce identical blocks to the
+stdlib-HTMLParser path on any HTML the corpus domain can contain.  Known,
+documented divergences (literal '>' inside quoted attribute values, markup
+inside <textarea>) are excluded from the generator.
 """
 
 from __future__ import annotations
