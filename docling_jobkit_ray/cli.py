@@ -17,6 +17,29 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
+
+
+@contextmanager
+def _ray_session(num_cpus: int | None = None):
+    """Start a local Ray session unless the caller already owns one, and
+    shut down only a session started here."""
+    import ray
+
+    owns_ray = not ray.is_initialized()
+    if owns_ray:
+        kwargs = {"include_dashboard": False, "logging_level": "ERROR"}
+        if num_cpus:
+            kwargs["num_cpus"] = num_cpus
+        ray.init(address="local", **kwargs)
+    from ray.data import DataContext
+
+    DataContext.get_current().enable_progress_bars = False
+    try:
+        yield
+    finally:
+        if owns_ray:
+            ray.shutdown()
 
 
 def query_main(argv: list[str]) -> int:
@@ -45,15 +68,7 @@ def query_main(argv: list[str]) -> int:
     if args.name not in q:
         p.error(f"unknown query {args.name!r} (use --list)")
 
-    import ray
-
-    owns_ray = not ray.is_initialized()
-    if owns_ray:
-        ray.init(address="local", include_dashboard=False, logging_level="ERROR")
-    from ray.data import DataContext
-
-    DataContext.get_current().enable_progress_bars = False
-    try:
+    with _ray_session():
         result = q[args.name](args.sf_dir)
         import pyarrow as pa
         import ray.data as rd
@@ -75,9 +90,6 @@ def query_main(argv: list[str]) -> int:
             summary["rows"] = n
         print(json.dumps(summary))
         return 0
-    finally:
-        if owns_ray:  # never tear down a session owned by the caller
-            ray.shutdown()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -144,17 +156,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = p.parse_args(argv)
 
-    import ray
-
-    if not ray.is_initialized():
-        kwargs = {"include_dashboard": False, "logging_level": "ERROR"}
-        if args.num_cpus:
-            kwargs["num_cpus"] = args.num_cpus
-        ray.init(address="local", **kwargs)
-    from ray.data import DataContext
-
-    DataContext.get_current().enable_progress_bars = False
-
     from .extract.record import ExtractOptions
 
     if args.preset is not None:
@@ -189,24 +190,23 @@ def main(argv: list[str] | None = None) -> int:
             p.error(str(exc))
     concurrency = (1, args.concurrency) if args.concurrency else None
     input_path = args.input
-    try:
+    with _ray_session(args.num_cpus):
         if args.dedup_snapshots:
-            # phase 1: snapshot dedup into a committed staging corpus
-            # (_SUCCESS marker => a re-run resumes straight into extract)
+            # phase 1: snapshot dedup into a committed corpus (a re-run
+            # resumes straight into extract; a crashed one left only a
+            # staging dir, which the next attempt discards)
             import os
 
             import ray.data as rd
 
-            staging = os.path.join(args.output, "_snapshot_dedup")
-            marker = os.path.join(staging, "_SUCCESS")
-            if not os.path.exists(marker):
+            from .state.commit import read_marker, staged_dir
+
+            input_path = os.path.join(args.output, "_snapshot_dedup")
+            if read_marker(input_path, "_SUCCESS") is None:
                 from .sources.pages import latest_snapshot_per_url
 
-                pages = rd.read_parquet(args.input)
-                latest_snapshot_per_url(pages).write_parquet(staging)
-                with open(marker, "w") as f:
-                    f.write("ok")
-            input_path = staging
+                with staged_dir(input_path, marker="_SUCCESS") as st:
+                    latest_snapshot_per_url(rd.read_parquet(args.input)).write_parquet(st.path)
         if args.no_checkpoint:
             from .pipelines.extract import extract_pipeline
 
@@ -234,8 +234,6 @@ def main(argv: list[str] | None = None) -> int:
             )
         print(json.dumps(totals))
         return 0
-    finally:
-        ray.shutdown()
 
 
 if __name__ == "__main__":

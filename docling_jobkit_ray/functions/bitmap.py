@@ -35,6 +35,8 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data
 
+from ..state.commit import atomic_write
+
 _WORD = 64
 
 
@@ -383,7 +385,7 @@ def compact_bitmap_index(index_dir: str) -> dict:
     idempotent: readers OR-fold duplicate (attr, word) rows, so the window
     where both the new compacted file and the old increments are visible
     double-ORs identical bits — a no-op.  Order: write the compacted file
-    via atomic ``os.replace``, THEN unlink the absorbed files (a row is
+    via ``state.commit.atomic_write``, THEN unlink the absorbed files (a row is
     never visible-missing).
 
     Each bucket compacts in its own Ray task — the fold is the same
@@ -415,9 +417,9 @@ def compact_bitmap_index(index_dir: str) -> dict:
                     "bits": pa.array(b_c, pa.int64()),
                 }
             )
-            tmp = f"{d}/.part.parquet.tmp"
-            pq.write_table(folded, tmp)
-            os.replace(tmp, f"{d}/part.parquet")
+            buf = pa.BufferOutputStream()
+            pq.write_table(folded, buf)
+            atomic_write(f"{d}/part.parquet", buf.getvalue())
             for f in files:
                 if os.path.basename(f) != "part.parquet":
                     os.unlink(f)

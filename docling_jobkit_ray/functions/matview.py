@@ -24,6 +24,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from ..state.commit import committed_versions, staged_dir
+
 __all__ = [
     "hourly_event_counts",
     "init_view",
@@ -76,29 +78,11 @@ def hourly_event_counts(events: ray.data.Dataset) -> ray.data.Dataset:
     )
 
 
-def _versions(view_dir: str) -> list[int]:
-    if not os.path.isdir(view_dir):
-        return []
-    out = []
-    for name in os.listdir(view_dir):
-        if name.startswith("v") and name[1:].isdigit():
-            if os.path.exists(os.path.join(view_dir, name, "_SUCCESS")):
-                out.append(int(name[1:]))
-    return sorted(out)
-
-
 def _commit(ds: ray.data.Dataset, view_dir: str, version: int, meta: dict) -> str:
-    os.makedirs(view_dir, exist_ok=True)
-    staging = os.path.join(view_dir, f"v{version}.staging")
     final = os.path.join(view_dir, f"v{version}")
-    if os.path.exists(staging):
-        import shutil
-
-        shutil.rmtree(staging)  # torn previous attempt
-    ds.write_parquet(staging)
-    with open(os.path.join(staging, "_SUCCESS"), "w") as fh:
-        json.dump(meta, fh)
-    os.rename(staging, final)
+    with staged_dir(final, marker="_SUCCESS") as st:
+        ds.write_parquet(st.path)
+        st.marker_text = json.dumps(meta)
     return final
 
 
@@ -108,7 +92,7 @@ def init_view(events: ray.data.Dataset, view_dir: str) -> str:
 
 
 def current_view(view_dir: str) -> ray.data.Dataset | None:
-    vs = _versions(view_dir)
+    vs = committed_versions(view_dir, "_SUCCESS")
     if not vs:
         return None
     return ray.data.read_parquet(os.path.join(view_dir, f"v{vs[-1]}"))
@@ -121,7 +105,7 @@ def refresh_view(view_dir: str, delta: ray.data.Dataset) -> str:
     self-maintainable, so the result is bit-equal to a full recompute."""
     from ray.data.aggregate import Sum
 
-    vs = _versions(view_dir)
+    vs = committed_versions(view_dir, "_SUCCESS")
     if not vs:
         raise FileNotFoundError(f"no committed view version under {view_dir}")
     live = current_view(view_dir)
@@ -182,7 +166,7 @@ def read_view_version(view_dir: str, version: int) -> ray.data.Dataset:
     """Time-travel read: a specific committed version of the view (every
     version directory is immutable once renamed in, so old versions stay
     readable forever until GC'd)."""
-    if version not in _versions(view_dir):
+    if version not in committed_versions(view_dir, "_SUCCESS"):
         raise FileNotFoundError(f"view version v{version} not committed in {view_dir}")
     return ray.data.read_parquet(os.path.join(view_dir, f"v{version}"))
 
@@ -323,7 +307,7 @@ def refresh_view_cdc(view_dir: str, cdc: ray.data.Dataset) -> str:
     Commits v{N+1} through the shared staged protocol."""
     from ray.data.aggregate import Sum
 
-    vs = _versions(view_dir)
+    vs = committed_versions(view_dir, "_SUCCESS")
     if not vs:
         raise FileNotFoundError(f"no committed view version under {view_dir}")
     live = current_view(view_dir)

@@ -21,6 +21,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from ..state.commit import committed_versions, staged_dir
 from .profile import _EVENT_SPECS, _as_int64
 from .sketches import HyperLogLog, TDigest
 
@@ -97,33 +98,13 @@ def column_sketch_rows(
     )
 
 
-def _versions(cat_dir: str) -> list[int]:
-    if not os.path.isdir(cat_dir):
-        return []
-    return sorted(
-        int(d[1:])
-        for d in os.listdir(cat_dir)
-        if d.startswith("v")
-        and d[1:].isdigit()
-        and os.path.exists(os.path.join(cat_dir, d, "_SUCCESS"))
-    )
-
-
 def _commit(tbl: pa.Table, cat_dir: str, version: int, meta: dict) -> str:
     import pyarrow.parquet as pq
 
-    os.makedirs(cat_dir, exist_ok=True)
-    staging = os.path.join(cat_dir, f"v{version}.staging")
     final = os.path.join(cat_dir, f"v{version}")
-    if os.path.exists(staging):
-        import shutil
-
-        shutil.rmtree(staging)
-    os.makedirs(staging)
-    pq.write_table(tbl, os.path.join(staging, "stats.parquet"))
-    with open(os.path.join(staging, "_SUCCESS"), "w") as fh:
-        json.dump(meta, fh)
-    os.rename(staging, final)
+    with staged_dir(final, marker="_SUCCESS") as st:
+        pq.write_table(tbl, os.path.join(st.path, "stats.parquet"))
+        st.marker_text = json.dumps(meta)
     return final
 
 
@@ -142,7 +123,7 @@ def init_stats(
 def current_stats(cat_dir: str) -> pa.Table | None:
     import pyarrow.parquet as pq
 
-    vs = _versions(cat_dir)
+    vs = committed_versions(cat_dir, "_SUCCESS")
     if not vs:
         return None
     return pq.read_table(os.path.join(cat_dir, f"v{vs[-1]}", "stats.parquet"))
@@ -155,7 +136,7 @@ def refresh_stats(
 ) -> str:
     """Merge the delta's column sketches into the live catalog (driver-side
     merge of |columns| sketch pairs) and commit v{N+1}."""
-    vs = _versions(cat_dir)
+    vs = committed_versions(cat_dir, "_SUCCESS")
     if not vs:
         raise FileNotFoundError(f"no committed stats version under {cat_dir}")
     live = current_stats(cat_dir).to_pandas().set_index("col")

@@ -1619,6 +1619,11 @@ def error_trend_by_dow(sf_dir: str) -> pa.Table:
     z2_e6 = N·T'²·1e6 // denom quantizes once.  Output one row with every
     certifiable intermediate (sw_n, sw2_n, sw_r, t_num, z2_e6).
 
+    Oracle bound: with doses 0..6, |T'| ≤ 6·N·R ≤ 6N², so the oracle's
+    numerator N·T'²·1e6 ≤ 3.6e7·N⁵, which passes HUGEINT's ~1.7e38 at about
+    N ≈ 1.36 million events under a worst-case trend.  This function stays
+    exact beyond that (Python ints); the SQL oracle does not.
+
     Plan: per-block 7-dose count partials -> one bounded groupby."""
     from ray.data.aggregate import Sum
 
@@ -1675,6 +1680,8 @@ def error_trend_by_dow(sf_dir: str) -> pa.Table:
     )
 
 
+# HUGEINT bound: N·T'²·1e6 ≤ 3.6e7·N⁵ overflows past ~1.36 million events
+# under a worst-case trend (see error_trend_by_dow).
 ERROR_TREND_BY_DOW_SQL = """
 WITH e AS (
   SELECT (epoch_us(CAST(ts AS TIMESTAMP)) // 86400000000) % 7 AS dose,

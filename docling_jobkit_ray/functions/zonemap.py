@@ -11,11 +11,11 @@ one-year window — the same footer-pruning contract ``read_parquet``'s
 row-group filters give WITHIN a file, lifted to the partition level where
 the object-store read is actually saved.
 
-Layout protocol (shared with training/ingest/matview artifacts):
-``<out>.staging-<pid>`` -> partitioned parquet + ``_zonemaps.json`` +
-``_SUCCESS`` (carrying the input fingerprint) -> atomic rename.  A
-regenerated input at the same path invalidates the cache via the
-fingerprint, never silently reuses stale partitions.
+Layout protocol (``state.commit.staged_dir``, shared with every staged
+writer): partitioned parquet + ``_zonemaps.json`` + ``_SUCCESS`` (carrying
+the input fingerprint) -> atomic rename.  A regenerated input at the same
+path invalidates the cache via the fingerprint, never silently reuses stale
+partitions; the stale layout stays readable until the rebuild replaces it.
 
 Reference parity: the reference streams documents through object-store
 connectors with no layout layer; this documents the Ray-Data-native
@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
+
+from ..state.commit import read_marker, staged_dir
 
 _YEAR_US = None  # years are calendar-derived, not fixed-width — use pc.year
 
@@ -41,6 +42,19 @@ def _fingerprint(path: str) -> str:
     st = os.stat(path)
     rows = pq.ParquetFile(path).metadata.num_rows
     return f"{rows}:{st.st_size}:{st.st_mtime_ns}"
+
+
+def _commit_layout(
+    out_dir: str, ds: ray.data.Dataset, part_col: str, zones: list[dict], fp: str
+) -> str:
+    """Publish ``ds`` partitioned by ``part_col`` with its zone maps; a
+    stale layout stays readable until the new one replaces it."""
+    with staged_dir(out_dir, marker="_SUCCESS", replace=True) as st:
+        ds.write_parquet(st.path, partition_cols=[part_col])
+        with open(os.path.join(st.path, "_zonemaps.json"), "w") as f:
+            json.dump(sorted(zones, key=lambda z: z[part_col]), f, indent=1)
+        st.marker_text = fp
+    return out_dir
 
 
 def write_orders_year_layout(sf_dir: str, out_dir: str) -> str:
@@ -54,17 +68,8 @@ def write_orders_year_layout(sf_dir: str, out_dir: str) -> str:
     """
     src = os.path.join(sf_dir, "orders.parquet")
     fp = _fingerprint(src)
-    marker = os.path.join(out_dir, "_SUCCESS")
-    if os.path.exists(marker):
-        with open(marker) as f:
-            if f.read().strip() == fp:
-                return out_dir
-        shutil.rmtree(out_dir)
-
-    staging = f"{out_dir}.staging-{os.getpid()}"
-    if os.path.exists(staging):
-        shutil.rmtree(staging)
-    os.makedirs(staging)
+    if read_marker(out_dir, "_SUCCESS") == fp:
+        return out_dir
 
     ds = ray.data.read_parquet(src)
 
@@ -77,8 +82,6 @@ def write_orders_year_layout(sf_dir: str, out_dir: str) -> str:
     with_year = ds.map_batches(
         add_year, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()  # feeds BOTH the write and the zone-map aggregate
-
-    with_year.write_parquet(staging, partition_cols=["o_year"])
 
     # per-partition zone maps: one bounded groupby (K = #years rows)
     def zone_partial(batch: pa.Table) -> pa.Table:
@@ -133,12 +136,7 @@ def write_orders_year_layout(sf_dir: str, out_dir: str) -> str:
         )
         .take_all()  # K = #distinct years — bounded at any row count
     )
-    with open(os.path.join(staging, "_zonemaps.json"), "w") as f:
-        json.dump(sorted(zones, key=lambda z: z["o_year"]), f, indent=1)
-    with open(os.path.join(staging, "_SUCCESS"), "w") as f:
-        f.write(fp)
-    os.rename(staging, out_dir)
-    return out_dir
+    return _commit_layout(out_dir, with_year, "o_year", zones, fp)
 
 
 def pruned_orders_scan(
@@ -332,17 +330,8 @@ def write_orders_zorder_layout(sf_dir: str, out_dir: str) -> str:
     """
     src = os.path.join(sf_dir, "orders.parquet")
     fp = _fingerprint(src)
-    marker = os.path.join(out_dir, "_SUCCESS")
-    if os.path.exists(marker):
-        with open(marker) as f:
-            if f.read().strip() == fp:
-                return out_dir
-        shutil.rmtree(out_dir)
-
-    staging = f"{out_dir}.staging-{os.getpid()}"
-    if os.path.exists(staging):
-        shutil.rmtree(staging)
-    os.makedirs(staging)
+    if read_marker(out_dir, "_SUCCESS") == fp:
+        return out_dir
 
     c_lo, c_hi, h_lo, h_hi = _dim_minmax(sf_dir)
     grid = 1 << _ZT_BITS
@@ -373,8 +362,6 @@ def write_orders_zorder_layout(sf_dir: str, out_dir: str) -> str:
     with_tile = ds.map_batches(
         add_tile, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()  # feeds BOTH the write and the zone-map aggregate
-
-    with_tile.write_parquet(staging, partition_cols=["ztile"])
 
     def zone_partial(batch: pa.Table) -> pa.Table:
         schema = pa.schema(
@@ -427,12 +414,7 @@ def write_orders_zorder_layout(sf_dir: str, out_dir: str) -> str:
         )
         .take_all()  # <= 16 tile rows
     )
-    with open(os.path.join(staging, "_zonemaps.json"), "w") as f:
-        json.dump(sorted(zones, key=lambda z: z["ztile"]), f, indent=1)
-    with open(os.path.join(staging, "_SUCCESS"), "w") as f:
-        f.write(fp)
-    os.rename(staging, out_dir)
-    return out_dir
+    return _commit_layout(out_dir, with_tile, "ztile", zones, fp)
 
 
 def zorder_pruned_scan(

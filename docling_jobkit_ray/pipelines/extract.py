@@ -31,7 +31,7 @@ import ray.data
 
 from ..extract.errors import STATUS_FAILURE
 from ..extract.record import ExtractOptions
-from ..sources.pages import read_pages
+from ..sources.pages import read_pages, shard_items, shard_paths
 from ..stages.extract import ExtractDocuments, options_to_kwargs
 from ..stages.slices import (
     ExtractSlices,
@@ -135,17 +135,9 @@ def extract_pipeline(
         # cross-operator backpressure, and the shard is the natural work
         # unit for checkpointing anyway.  Dataset-of-paths -> map_batches is
         # the documented Ray Data pattern for custom-read workloads.
-        import glob as _glob
-        import os as _os
-
         import pyarrow.parquet as _pq
 
-        if isinstance(input_path, str) and _os.path.isdir(input_path):
-            paths = sorted(_glob.glob(_os.path.join(input_path, "*.parquet")))
-        elif isinstance(input_path, str):
-            paths = [input_path]
-        else:
-            paths = list(input_path)
+        paths = shard_paths(input_path)
         opts_kwargs = options_to_kwargs(options)
 
         def read_and_extract(batch) -> pa.Table:
@@ -159,8 +151,9 @@ def extract_pipeline(
                 out.append(udf(t))
             return pa.concat_tables(out)
 
-        ds = ray.data.from_items([{"path": p} for p in paths]).repartition(len(paths))
-        return _family(ds.map_batches(read_and_extract, batch_size=1, batch_format="numpy"))
+        return _family(
+            shard_items(paths).map_batches(read_and_extract, batch_size=1, batch_format="numpy")
+        )
 
     if mode == "size_bucketed":
         # Size-class routing: cheap vectorized split on binary_length, then
@@ -190,17 +183,9 @@ def extract_pipeline(
         # only the claimed-big minority is structurally parsed.  Docs over
         # max_pages/max_bytes route to the rest branch so admission
         # preflight emits the same FAILURE rows as the other modes.
-        import glob as _glob
-        import os as _os
-
         import pyarrow.parquet as _pq
 
-        if isinstance(input_path, str) and _os.path.isdir(input_path):
-            paths = sorted(_glob.glob(_os.path.join(input_path, "*.parquet")))
-        elif isinstance(input_path, str):
-            paths = [input_path]
-        else:
-            paths = list(input_path)
+        paths = shard_paths(input_path)
         opts_kwargs = options_to_kwargs(options)
         caps = {
             "max_pages": options.max_pages,
@@ -226,10 +211,7 @@ def extract_pipeline(
             udf = ExtractDocuments(opts_kwargs)
             return udf(_drop(_read_shards(batch)))
 
-        paths_ds = ray.data.from_items([{"path": p} for p in paths]).repartition(
-            len(paths)
-        )
-        rest_out = paths_ds.map_batches(rest_task, batch_size=1, batch_format="numpy")
+        rest_out = shard_items(paths).map_batches(rest_task, batch_size=1, batch_format="numpy")
 
         # Branch 2: oversized binaries — read+filter+slice-plan fused, then
         # per-slice extract (task pool) -> groupby url -> reassemble (the
@@ -237,9 +219,7 @@ def extract_pipeline(
         def plan_task(batch) -> pa.Table:
             return _plan(_keep(_read_shards(batch)))
 
-        slices = ray.data.from_items([{"path": p} for p in paths]).repartition(
-            len(paths)
-        ).map_batches(plan_task, batch_size=1, batch_format="numpy")
+        slices = shard_items(paths).map_batches(plan_task, batch_size=1, batch_format="numpy")
         slice_parts = slices.map_batches(
             ExtractSlices(opts_kwargs),
             batch_format="pyarrow",
@@ -369,22 +349,13 @@ def extract_ab_compare(
 
     from ..extract.presets import get_preset
     from ..extract.record import extract_record
-    from ..sources.pages import read_pages
-
-    import glob as _glob
-    import os as _os
-
     import pyarrow.parquet as _pq
-    import ray.data as _rd
 
     opt_a, opt_b = get_preset(preset_a), get_preset(preset_b)
     # fused shard plan (the headline-mode trick): one task = read one shard
     # + extract it TWICE — the chained read->map plan measured ~2x slower
     # on exactly this workload (CLAUDE.md fused rule)
-    if isinstance(input_path, str) and _os.path.isdir(input_path):
-        paths = sorted(_glob.glob(_os.path.join(input_path, "*.parquet")))
-    else:
-        paths = [input_path] if isinstance(input_path, str) else list(input_path)
+    paths = shard_paths(input_path)
 
     out_schema = pa.schema(
         [
@@ -424,9 +395,8 @@ def extract_ab_compare(
             .rename_columns(["status_a", "status_b", "texts_equal", "n_docs"])
         )
 
-    shards = _rd.from_items([{"path": p} for p in paths])
     return (
-        shards.map_batches(fn, batch_size=1, batch_format="pyarrow")
+        shard_items(paths).map_batches(fn, batch_size=1, batch_format="pyarrow")
         .groupby(["status_a", "status_b", "texts_equal"])
         .aggregate(Sum("n_docs", alias_name="n_docs"))
         .sort(["status_a", "status_b", "texts_equal"])

@@ -39,6 +39,8 @@ import uuid
 
 import ray.data
 
+from ..state import commit
+
 __all__ = [
     "current_index",
     "commit_index",
@@ -50,6 +52,7 @@ __all__ = [
 
 _CURRENT = "CURRENT"
 _ABSORBS = "_ABSORBS"
+_SUCCESS = "_SUCCESS"
 
 
 def current_index(index_dir: str) -> ray.data.Dataset | None:
@@ -68,12 +71,7 @@ def commit_index(index_ds: ray.data.Dataset, index_dir: str) -> str:
     os.makedirs(index_dir, exist_ok=True)
     version = f"v-{uuid.uuid4().hex[:12]}"
     index_ds.write_parquet(os.path.join(index_dir, version))
-    tmp = os.path.join(index_dir, f".{_CURRENT}.{uuid.uuid4().hex[:8]}")
-    with open(tmp, "w") as f:
-        f.write(version)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, os.path.join(index_dir, _CURRENT))
+    commit.atomic_write(os.path.join(index_dir, _CURRENT), version)
     return version
 
 
@@ -127,24 +125,20 @@ def ingest_increment(
 
     n_kept = survivors.count()
     if n_kept:
-        # staging rewrite is idempotent: a partial dir from a crashed
-        # attempt is discarded wholesale
-        if os.path.exists(staging_dir):
-            shutil.rmtree(staging_dir)
-        survivors.write_parquet(staging_dir, partition_cols=partition_cols)
-        # completeness marker: written only after EVERY parquet file landed,
-        # so a later crash-replay can tell "staging is a full drop awaiting
-        # rename" from "staging is a torn partial write" (ADVICE r3)
-        with open(os.path.join(staging_dir, "_SUCCESS"), "w") as f:
-            f.flush()
-            os.fsync(f.fileno())
-        version = commit_index(next_idx, index_dir)
-        os.replace(staging_dir, final_dir)
+        # staged_dir discards a partial dir from a crashed attempt wholesale
+        with commit.staged_dir(final_dir, staging=staging_dir) as st:
+            survivors.write_parquet(st.path, partition_cols=partition_cols)
+            # completeness marker: written only after EVERY parquet file
+            # landed and BEFORE the index commit, so a later crash-replay can
+            # tell "staging is a full drop awaiting rename" from "staging is
+            # a torn partial write" (ADVICE r3)
+            commit.write_synced(os.path.join(st.path, _SUCCESS), "")
+            version = commit_index(next_idx, index_dir)
     elif os.path.exists(staging_dir):
-        if os.path.exists(os.path.join(staging_dir, "_SUCCESS")):
+        if os.path.exists(os.path.join(staging_dir, _SUCCESS)):
             # crash happened AFTER the index commit (everything now probes
             # seen) but BEFORE the rename: finish the interrupted commit
-            os.replace(staging_dir, final_dir)
+            commit.publish(staging_dir, final_dir)
         else:
             # torn staging from a pre-commit crash (possibly of a replay
             # with different input): committing it would publish partial
@@ -327,21 +321,15 @@ def compact_increments(
     merged = ray.data.read_parquet(
         _parquet_files(*(os.path.join(corpus_dir, d) for d in sources))
     )
-    if os.path.exists(staging_dir):  # torn staging from a crashed attempt
-        shutil.rmtree(staging_dir)
-    merged.write_parquet(staging_dir)
-    # row count from the staged footers — counting the lazy `merged` would
-    # RE-EXECUTE the whole merge read (branching re-runs the parent)
-    n_rows = _count_parquet_rows(staging_dir)
-    absorbed_names = [d.removeprefix("increment=") for d in sources]
-    with open(os.path.join(staging_dir, _ABSORBS), "w") as f:
-        json.dump(absorbed_names, f)
-        f.flush()
-        os.fsync(f.fileno())
-    with open(os.path.join(staging_dir, "_SUCCESS"), "w") as f:
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(staging_dir, final_dir)  # commit point
+    with commit.staged_dir(final_dir, marker=_SUCCESS, staging=staging_dir) as st:
+        merged.write_parquet(st.path)
+        # row count from the staged footers — counting the lazy `merged`
+        # would RE-EXECUTE the whole merge read (branching re-runs the parent)
+        n_rows = _count_parquet_rows(st.path)
+        commit.write_synced(
+            os.path.join(st.path, _ABSORBS),
+            json.dumps([d.removeprefix("increment=") for d in sources]),
+        )
     for d in sources:
         shutil.rmtree(os.path.join(corpus_dir, d))
     return {

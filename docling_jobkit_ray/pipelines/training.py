@@ -33,7 +33,6 @@ trainer-facing packed layout; the FFD kernel and its bound live in
 from __future__ import annotations
 
 import os
-import shutil
 
 import numpy as np
 import pyarrow as pa
@@ -41,6 +40,8 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..sources.pages import read_table
+from ..state.commit import read_marker, staged_dir
+from .ingest import _count_parquet_rows
 
 __all__ = ["make_training_shards", "training_shards"]
 
@@ -90,20 +91,15 @@ def make_training_shards(
     # corpus at the same path must NOT silently reuse stale shards
     # (CLAUDE.md /tmp-cache rule — keys bump when inputs change).
     fingerprint = _input_fingerprint(sf_dir)
-    marker = os.path.join(out_dir, "_SUCCESS")
-    if os.path.exists(marker):
-        with open(marker) as f:
-            committed_fp = f.read().strip()
-        if committed_fp == fingerprint:
-            from .ingest import _count_parquet_rows
-
-            return {
-                "out_dir": out_dir,
-                "n_docs": _count_parquet_rows(out_dir),
-                "n_shards": None,
-                "already_committed": True,
-            }
-        shutil.rmtree(out_dir)  # stale: input changed under the same path
+    # A stale out_dir (input changed under the same path) is rebuilt below;
+    # the publish replaces it, so readers keep the old shards until then.
+    if read_marker(out_dir, "_SUCCESS") == fingerprint:
+        return {
+            "out_dir": out_dir,
+            "n_docs": _count_parquet_rows(out_dir),
+            "n_shards": None,
+            "already_committed": True,
+        }
 
     if n_shards is None:
         n_shards = bucket_count(estimate_rows(sf_dir, "documents"), min_buckets=8)
@@ -162,22 +158,12 @@ def make_training_shards(
         .map_groups(pack_shard, batch_format="pyarrow")
     )
 
-    staging = out_dir.rstrip("/") + ".staging"
-    if os.path.exists(staging):  # torn write from a crashed attempt
-        shutil.rmtree(staging)
-    packed.write_parquet(staging, partition_cols=["shard"])
-    # count from the staged footers (zero data reads; counting the lazy
-    # `packed` would re-execute the whole pack)
-    from .ingest import _count_parquet_rows
-
-    n_docs = _count_parquet_rows(staging)
-    with open(os.path.join(staging, "_SUCCESS"), "w") as f:
-        f.write(fingerprint)
-        f.flush()
-        os.fsync(f.fileno())
-    if os.path.exists(out_dir):
-        shutil.rmtree(out_dir)
-    os.replace(staging, out_dir)
+    with staged_dir(out_dir, marker="_SUCCESS", replace=True) as st:
+        st.marker_text = fingerprint
+        packed.write_parquet(st.path, partition_cols=["shard"])
+        # count from the staged footers (zero data reads; counting the lazy
+        # `packed` would re-execute the whole pack)
+        n_docs = _count_parquet_rows(st.path)
     return {
         "out_dir": out_dir,
         "n_docs": n_docs,

@@ -10,7 +10,29 @@ checkpoint manifest (SURVEY.md §4.2 resume).
 
 from __future__ import annotations
 
+import glob
+import os
+
 import ray.data
+
+
+def shard_paths(input_path: str | list[str]) -> list[str]:
+    """The parquet shards behind ``input_path``: a directory's ``*.parquet``
+    files in name order, a single file, or a list of files as given."""
+    if not isinstance(input_path, str):
+        return list(input_path)
+    if os.path.isdir(input_path):
+        return sorted(glob.glob(os.path.join(input_path, "*.parquet")))
+    return [input_path]
+
+
+def shard_items(paths: list[str]) -> ray.data.Dataset:
+    """A Dataset of ``{"path": p}`` rows with one block, hence one map task,
+    per shard — the input of plans that read a shard inside the task.
+    An empty list gives an empty Dataset (Ray rejects zero blocks)."""
+    return ray.data.from_items(
+        [{"path": p} for p in paths], override_num_blocks=max(len(paths), 1)
+    )
 
 
 def read_pages(

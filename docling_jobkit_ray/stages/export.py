@@ -208,6 +208,26 @@ def doc_stats_pipeline(extracted: ray.data.Dataset) -> ray.data.Dataset:
     return extracted.map_batches(doc_stats, batch_format="pyarrow", zero_copy_batch=True)
 
 
+def _commit_shards(out_dir: str, ext: str, write) -> dict:
+    """Staged shard export: ``write(staging) -> rows`` fills the staging
+    dir with ``*.<ext>`` files; ``_SUCCESS`` records {rows, files}, and a
+    committed ``out_dir`` replays as a no-op returning that record."""
+    import glob as _glob
+    import json as _json
+    import os
+
+    from ..state.commit import read_marker, staged_dir
+
+    meta = read_marker(out_dir, "_SUCCESS")
+    if meta is not None:
+        return {**_json.loads(meta), "committed": False}
+    with staged_dir(out_dir, marker="_SUCCESS") as st:
+        rows = write(st.path)
+        files = _glob.glob(os.path.join(st.path, f"*.{ext}"))
+        st.marker_text = _json.dumps({"rows": rows, "files": len(files)})
+    return {"rows": rows, "files": len(files), "committed": True}
+
+
 def export_jsonl_shards(ds: ray.data.Dataset, out_dir: str) -> dict:
     """Materialize a Dataset as sharded JSONL — the interchange format LLM
     training stacks consume (one JSON object per line, one file per block,
@@ -219,29 +239,17 @@ def export_jsonl_shards(ds: ray.data.Dataset, out_dir: str) -> dict:
     a replay discards, and a committed export replays as a no-op.
     Returns {rows, files, committed}."""
     import glob as _glob
-    import json as _json
     import os
-    import shutil
 
-    marker = os.path.join(out_dir, "_SUCCESS")
-    if os.path.exists(marker):
-        with open(marker) as fh:
-            meta = _json.load(fh)
-        return {**meta, "committed": False}
-    staging = out_dir.rstrip("/") + ".staging"
-    if os.path.exists(staging):
-        shutil.rmtree(staging)  # torn previous attempt
-    os.makedirs(staging, exist_ok=True)
-    ds.write_json(staging)
-    files = sorted(_glob.glob(os.path.join(staging, "*.json")))
-    rows = 0
-    for f in files:
-        with open(f) as fh:
-            rows += sum(1 for _ in fh)
-    with open(os.path.join(staging, "_SUCCESS"), "w") as fh:
-        _json.dump({"rows": rows, "files": len(files)}, fh)
-    os.rename(staging, out_dir)
-    return {"rows": rows, "files": len(files), "committed": True}
+    def write(staging: str) -> int:
+        ds.write_json(staging)
+        rows = 0
+        for f in _glob.glob(os.path.join(staging, "*.json")):
+            with open(f) as fh:
+                rows += sum(1 for _ in fh)
+        return rows
+
+    return _commit_shards(out_dir, "json", write)
 
 
 def export_ipc_shards(ds: ray.data.Dataset, out_dir: str) -> dict:
@@ -254,38 +262,19 @@ def export_ipc_shards(ds: ray.data.Dataset, out_dir: str) -> dict:
     Each input BLOCK becomes one ``.arrow`` file via ``map_batches`` with
     ``batch_size=None`` — the write is embarrassingly parallel and a
     256-node reader streams shards independently."""
-    import glob as _glob
-    import json as _json
     import os
-    import shutil
     import uuid
 
     import pyarrow.feather as _feather
 
-    marker = os.path.join(out_dir, "_SUCCESS")
-    if os.path.exists(marker):
-        with open(marker) as fh:
-            meta = _json.load(fh)
-        return {**meta, "committed": False}
-    staging = out_dir.rstrip("/") + ".staging"
-    if os.path.exists(staging):
-        shutil.rmtree(staging)  # torn previous attempt
-    os.makedirs(staging, exist_ok=True)
+    def write(staging: str) -> int:
+        def write_block(batch: pa.Table) -> pa.Table:
+            if batch.num_rows:
+                path = os.path.join(staging, f"shard-{uuid.uuid4().hex}.arrow")
+                _feather.write_feather(batch, path)
+            return pa.table({"rows": pa.array([batch.num_rows], pa.int64())})
 
-    def write_block(batch: pa.Table) -> pa.Table:
-        if batch.num_rows:
-            path = os.path.join(staging, f"shard-{uuid.uuid4().hex}.arrow")
-            _feather.write_feather(batch, path)
-        return pa.table({"rows": pa.array([batch.num_rows], pa.int64())})
+        blocks = ds.map_batches(write_block, batch_format="pyarrow", batch_size=None)
+        return sum(r["rows"] for r in blocks.take_all())
 
-    rows = sum(
-        r["rows"]
-        for r in ds.map_batches(
-            write_block, batch_format="pyarrow", batch_size=None
-        ).take_all()
-    )
-    files = sorted(_glob.glob(os.path.join(staging, "*.arrow")))
-    with open(os.path.join(staging, "_SUCCESS"), "w") as fh:
-        _json.dump({"rows": rows, "files": len(files)}, fh)
-    os.rename(staging, out_dir)
-    return {"rows": rows, "files": len(files), "committed": True}
+    return _commit_shards(out_dir, "arrow", write)

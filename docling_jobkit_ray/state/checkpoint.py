@@ -7,8 +7,9 @@ atomic finalize, lease/heartbeat ``:1225-1330``) with a filesystem manifest:
 - unit of work = one input shard (parquet file); output dir name is derived
   from the shard name, so a rerun maps shard -> same output (idempotent);
 - output written to `<out>/.tmp-<shard>` then atomically renamed to
-  `<out>/part-<shard>` — a crashed run never leaves a partial partition
-  visible (write-temp-then-rename, SURVEY.md §7.3);
+  `<out>/part-<shard>` by ``state.commit.staged_dir`` — a crashed run never
+  leaves a partial partition visible (write-temp-then-rename, SURVEY.md
+  §7.3);
 - one manifest JSON per completed shard in `<out>/_manifest/` with lineage
   (shard path, url count) and the north rule's counters (docs, bytes,
   parse_failures) + wall time;
@@ -30,14 +31,22 @@ import pyarrow.compute as pc
 
 from ..extract.record import ExtractOptions
 from ..pipelines.extract import extract_pipeline
+from ..sources.pages import shard_items, shard_paths
+from .commit import atomic_write, staged_dir
 
 
 def _shard_key(shard_path: str) -> str:
     return os.path.splitext(os.path.basename(shard_path))[0]
 
 
-def list_shards(input_dir: str) -> list[str]:
-    return sorted(glob.glob(os.path.join(input_dir, "*.parquet")))
+def _staged_partition(out_dir: str, key: str):
+    """Stage ``part-<key>``.  No marker: the manifest record is the commit
+    point, and a redone shard replaces a partition published without one."""
+    return staged_dir(
+        os.path.join(out_dir, f"part-{key}"),
+        replace=True,
+        staging=os.path.join(out_dir, f".tmp-{key}"),
+    )
 
 
 def completed_shards(out_dir: str) -> dict[str, dict]:
@@ -79,15 +88,21 @@ def _check_pipeline_consistent(done: dict, pipeline: str, out_dir: str) -> None:
             )
 
 
+def _totals(n_shards: int, n_skipped: int, done: dict) -> dict:
+    return {
+        "shards_total": n_shards,
+        "shards_skipped_resume": n_skipped,
+        **{
+            k: int(sum(r[k] for r in done.values()))
+            for k in ("docs", "parse_failures", "input_bytes", "chars_out")
+        },
+    }
+
+
 def _write_manifest(out_dir: str, rec: dict) -> None:
     mdir = os.path.join(out_dir, "_manifest")
     os.makedirs(mdir, exist_ok=True)
-    tmp = os.path.join(mdir, f".tmp-{rec['shard_key']}.json")
-    with open(tmp, "w") as f:
-        json.dump(rec, f, sort_keys=True)
-        f.flush()
-        os.fsync(f.fileno())
-    os.replace(tmp, os.path.join(mdir, f"{rec['shard_key']}.json"))  # atomic
+    atomic_write(os.path.join(mdir, f"{rec['shard_key']}.json"), json.dumps(rec, sort_keys=True))
 
 
 def run_extract_checkpointed_fused(
@@ -117,7 +132,6 @@ def run_extract_checkpointed_fused(
     """
     import pyarrow as pa
     import pyarrow.parquet as pq
-    import ray.data
 
     from ..stages.extract import ExtractDocuments
     from ..stages.extract import options_to_kwargs as _otk
@@ -130,15 +144,13 @@ def run_extract_checkpointed_fused(
     os.makedirs(out_dir, exist_ok=True)
     done = completed_shards(out_dir)
     _check_pipeline_consistent(done, pipeline, out_dir)
-    shards = list_shards(input_dir)
+    shards = shard_paths(input_dir)
     pending = [s for s in shards if _shard_key(s) not in done]
     opts_kwargs = _otk(options)
     abs_out = os.path.abspath(out_dir)
     vlm = pipeline == "vlm"
 
     def process_shard(batch) -> "pa.Table":
-        import shutil as _sh
-
         udf = ExtractDocuments(opts_kwargs)
         # per-worker-cached model: loads once per worker process, not per
         # shard task (the task-pool substitute for actor __init__ state)
@@ -153,13 +165,8 @@ def run_extract_checkpointed_fused(
             out = udf(t)
             if describe is not None:  # vlm family: enrich in the same task
                 out = describe(out)
-            tmp_dir = os.path.join(abs_out, f".tmp-{key}")
-            final_dir = os.path.join(abs_out, f"part-{key}")
-            _sh.rmtree(tmp_dir, ignore_errors=True)
-            os.makedirs(tmp_dir)
-            pq.write_table(out, os.path.join(tmp_dir, "data.parquet"))
-            _sh.rmtree(final_dir, ignore_errors=True)
-            os.replace(tmp_dir, final_dir)  # atomic publish of the partition
+            with _staged_partition(abs_out, key) as st:
+                pq.write_table(out, os.path.join(st.path, "data.parquet"))
             status = out.column("status").to_pylist()
             recs["shard_key"].append(key)
             recs["shard_path"].append(p)
@@ -181,8 +188,7 @@ def run_extract_checkpointed_fused(
         )
 
     if pending:
-        ds = ray.data.from_items([{"path": p} for p in pending]).repartition(len(pending))
-        manifest_rows = ds.map_batches(
+        manifest_rows = shard_items(pending).map_batches(
             process_shard, batch_size=1, batch_format="numpy"
         ).take_all()
         # driver is the single manifest writer (commit point)
@@ -198,14 +204,7 @@ def run_extract_checkpointed_fused(
             if progress_callback is not None:
                 progress_callback(rec)
 
-    return {
-        "shards_total": len(shards),
-        "shards_skipped_resume": len(shards) - len(pending),
-        "docs": int(sum(r["docs"] for r in done.values())),
-        "parse_failures": int(sum(r["parse_failures"] for r in done.values())),
-        "input_bytes": int(sum(r["input_bytes"] for r in done.values())),
-        "chars_out": int(sum(r["chars_out"] for r in done.values())),
-    }
+    return _totals(len(shards), len(shards) - len(pending), done)
 
 
 def run_extract_checkpointed(
@@ -233,13 +232,11 @@ def run_extract_checkpointed(
         return run_extract_checkpointed_fused(
             input_dir, out_dir, options=options, pipeline=pipeline
         )
-    import shutil
-
     options = options or ExtractOptions()
     os.makedirs(out_dir, exist_ok=True)
     done = completed_shards(out_dir)
     _check_pipeline_consistent(done, pipeline, out_dir)
-    shards = list_shards(input_dir)
+    shards = shard_paths(input_dir)
     n_skipped = 0
 
     for shard in shards:
@@ -256,32 +253,28 @@ def run_extract_checkpointed(
             concurrency=concurrency,
             batch_size=batch_size,
         )
-        tmp_dir = os.path.join(out_dir, f".tmp-{key}")
-        final_dir = os.path.join(out_dir, f"part-{key}")
-        shutil.rmtree(tmp_dir, ignore_errors=True)  # stale crash leftovers
-        ds.write_parquet(tmp_dir)
-        # counters from the just-written partition (cheap: local parquet)
-        import ray.data
+        with _staged_partition(out_dir, key) as st:
+            ds.write_parquet(st.path)
+            # counters from the just-written partition (cheap: local parquet)
+            import ray.data
 
-        out_ds = ray.data.read_parquet(tmp_dir, columns=["status", "n_chars"])
+            out_ds = ray.data.read_parquet(st.path, columns=["status", "n_chars"])
 
-        def _partial_counts(t):
-            import pyarrow as pa
+            def _partial_counts(t):
+                import pyarrow as pa
 
-            return pa.table(
-                {
-                    "docs": [t.num_rows],
-                    "parse_failures": [
-                        pc.sum(pc.cast(pc.equal(t["status"], "FAILURE"), "int64")).as_py() or 0
-                    ],
-                    "chars_out": [pc.sum(t["n_chars"]).as_py() or 0],
-                }
-            )
+                return pa.table(
+                    {
+                        "docs": [t.num_rows],
+                        "parse_failures": [
+                            pc.sum(pc.cast(pc.equal(t["status"], "FAILURE"), "int64")).as_py() or 0
+                        ],
+                        "chars_out": [pc.sum(t["n_chars"]).as_py() or 0],
+                    }
+                )
 
-        agg = out_ds.map_batches(_partial_counts, batch_format="pyarrow").to_pandas()
+            agg = out_ds.map_batches(_partial_counts, batch_format="pyarrow").to_pandas()
         in_bytes = os.path.getsize(shard)
-        shutil.rmtree(final_dir, ignore_errors=True)
-        os.replace(tmp_dir, final_dir)  # atomic publish
         rec = {
             "shard_key": key,
             "shard_path": shard,
@@ -297,12 +290,4 @@ def run_extract_checkpointed(
         _write_manifest(out_dir, rec)
         done[key] = rec
 
-    totals = {
-        "shards_total": len(shards),
-        "shards_skipped_resume": n_skipped,
-        "docs": sum(r["docs"] for r in done.values()),
-        "parse_failures": sum(r["parse_failures"] for r in done.values()),
-        "input_bytes": sum(r["input_bytes"] for r in done.values()),
-        "chars_out": sum(r["chars_out"] for r in done.values()),
-    }
-    return totals
+    return _totals(len(shards), n_skipped, done)

@@ -125,11 +125,23 @@ def test_cli_dedup_snapshots_two_phase(tmp_path):
     rows = pa.concat_tables([pq.read_table(f, columns=["url"]) for f in out_files])
     assert rows.num_rows == df["url"].nunique()
 
-    # resume: poison the staging marker mtime check by re-running — the
-    # committed staging dir must be reused as-is (same file list)
-    before = staged
+    # resume into the SAME output: the committed snapshot dir is reused
+    # as-is (same files, same mtimes) and a fresh extract output is written
+    def snapshot_state():
+        return {
+            f: os.stat(f).st_mtime_ns
+            for f in sorted(glob.glob(f"{out}/_snapshot_dedup/*"))
+        }
+
+    before = snapshot_state()
+    for f in out_files:
+        os.remove(f)
     _run_cli(
-        "--input", dup_dir, "--output", str(tmp_path / "out2"),
+        "--input", dup_dir, "--output", out,
         "--dedup-snapshots", "--no-checkpoint", "--num-cpus", "4",
     )
-    assert sorted(glob.glob(f"{out}/_snapshot_dedup/*.parquet")) == before
+    assert snapshot_state() == before
+    fresh = glob.glob(f"{out}/*.parquet")
+    assert fresh and not set(fresh) & set(out_files)
+    rows = pa.concat_tables([pq.read_table(f, columns=["url"]) for f in fresh])
+    assert rows.num_rows == df["url"].nunique()

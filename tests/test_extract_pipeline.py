@@ -35,6 +35,23 @@ def test_pipeline_matches_oracle(ray_session, corpus_dir, corpus_oracle, mode):
         assert list(g["spans"] or []) == oracle_row["spans"], url
 
 
+def test_fused_one_task_per_shard_and_empty_input(ray_session, corpus_dir, tmp_path):
+    """Fused plans drive one map task per shard with no repartition
+    operator; an empty input directory gives an empty result (Ray refuses
+    a zero-block from_items, so ``shard_items`` must not ask for one)."""
+    import glob
+
+    stats = extract_pipeline(corpus_dir, mode="fused").materialize().stats()
+    assert "Repartition" not in stats
+    n_shards = len(glob.glob(f"{corpus_dir}/*.parquet"))
+    assert f"MapBatches(read_and_extract): {n_shards} tasks executed" in stats
+
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert extract_pipeline(str(empty), mode="fused").take_all() == []
+    assert extract_pipeline(str(empty), mode="sliced").take_all() == []
+
+
 def test_spans_slice_validly(ray_session, corpus_dir):
     ds = successes(extract_pipeline(corpus_dir, concurrency=(1, 2)))
     for row in ds.take(50):
