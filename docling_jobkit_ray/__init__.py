@@ -11,7 +11,7 @@ Public surface:
 - :mod:`docling_jobkit_ray.extract` — pure deterministic extraction library
   (HTML boilerplate strip, binary layout parse, error taxonomy).  The oracle.
 - :mod:`docling_jobkit_ray.pipelines.extract` — the flagship pipeline
-  (inline / sliced / size_bucketed modes, dead-letter view).
+  (fused / inline / sliced / size_bucketed modes, dead-letter view).
 - :mod:`docling_jobkit_ray.state.checkpoint` — resumable shard-by-shard runs
   with manifest lineage + counters.
 - :mod:`docling_jobkit_ray.stages` — extraction / slice-fanout / chunking /
@@ -21,6 +21,9 @@ Public surface:
   (lang-id, quality, tokens, fingerprints).
 - :mod:`docling_jobkit_ray.pipelines.relational` — filter / project /
   broadcast-join / grouped-aggregate / window / top-k query surface.
+- :mod:`docling_jobkit_ray.queries` — the ordered table of every
+  registered query with its DuckDB oracle SQL (``queries()`` /
+  ``oracle_sql()``; ``python -m docling_jobkit_ray.cli query --list``).
 
 Nothing in this package calls ``ray.init()`` — sessions are owned by the
 caller (bench.py, tests' conftest, or the driver).

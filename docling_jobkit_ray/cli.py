@@ -54,14 +54,11 @@ def query_main(argv: list[str]) -> int:
     p.add_argument("--out", default=None, help="write full result parquet here")
     args = p.parse_args(argv)
 
-    import importlib
-    import sys as _sys
+    from .queries import oracle_sql, queries
 
-    _sys.path.insert(0, ".")
-    entry = importlib.import_module("__ray_entry__")
-    q = entry.queries()
+    q = queries()
     if args.list or not args.name:
-        sql = set(entry.oracle_sql())
+        sql = set(oracle_sql())
         for name in q:
             print(f"{name}\t{'sql' if name in sql else 'rows'}")
         return 0

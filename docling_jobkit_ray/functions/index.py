@@ -1128,7 +1128,7 @@ SELECT CAST({depth} AS BIGINT) AS depth,
 # percolation / reverse search: route documents to stored queries
 # ---------------------------------------------------------------------------
 
-_PERCOLATE_QUERIES: tuple[tuple[str, ...], ...] = (
+_PERCOLATOR_TERM_SETS: tuple[tuple[str, ...], ...] = (
     ("table", "scan"),
     ("spark", "window"),
     ("hash", "join"),
@@ -1137,7 +1137,7 @@ _PERCOLATE_QUERIES: tuple[tuple[str, ...], ...] = (
 
 
 def percolate_routes(
-    sf_dir: str, queries: tuple[tuple[str, ...], ...] = _PERCOLATE_QUERIES
+    sf_dir: str, queries: tuple[tuple[str, ...], ...] = _PERCOLATOR_TERM_SETS
 ) -> ray.data.Dataset:
     """Percolation (reverse search, the Elasticsearch percolator shape):
     the QUERIES are stored and every incoming document routes to the
@@ -1197,7 +1197,7 @@ def percolate_routes(
 
 
 def percolate_routes_sql(
-    queries: tuple[tuple[str, ...], ...] = _PERCOLATE_QUERIES
+    queries: tuple[tuple[str, ...], ...] = _PERCOLATOR_TERM_SETS
 ) -> str:
     # DuckDB list literal: build VALUES of (query_id, terms LIST)
     vals = ", ".join(

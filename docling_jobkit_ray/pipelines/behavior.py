@@ -28,16 +28,9 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..sources.pages import read_table
+from .relational import _pin_timestamp_us, _user_bucket_adder, _user_buckets
 
 _WEEK_US = 7 * 24 * 3600 * 1_000_000
-
-
-def _rel():
-    """Lazy accessor for relational.py helpers (relational.py imports this
-    module at its tail — see tpch_supp._rel for the worker-side rationale)."""
-    from . import relational
-
-    return relational
 
 
 # ---------------------------------------------------------------------------
@@ -55,9 +48,8 @@ def events_intervals(sf_dir: str, *, n_buckets: int | None = None) -> ray.data.D
     Python call per user.  The mean gap needs no ordering at all
     (sum of consecutive gaps == span), so only max_gap pays for the sort.
     """
-    rel = _rel()
     ds = read_table(sf_dir, "events", columns=["user_id", "ts"])
-    add_bucket = rel._user_bucket_adder(rel._user_buckets(sf_dir, n_buckets))
+    add_bucket = _user_bucket_adder(_user_buckets(sf_dir, n_buckets))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts"]).reset_index(drop=True)
@@ -132,9 +124,8 @@ def cohort_retention(sf_dir: str, *, n_buckets: int | None = None) -> ray.data.D
     and the final groupby folds a tiny (weeks x offsets) matrix.  Weeks are
     exact integer floor-divisions of the microsecond timestamp — identical
     in DuckDB (``epoch_us(ts) // 604800000000``)."""
-    rel = _rel()
     ds = read_table(sf_dir, "events", columns=["user_id", "ts"])
-    n_b = rel._user_buckets(sf_dir, n_buckets)
+    n_b = _user_buckets(sf_dir, n_buckets)
     mask = pa.scalar(n_b - 1, pa.int64())
 
     pair_schema = pa.schema(
@@ -229,9 +220,8 @@ def events_transitions(sf_dir: str, *, n_buckets: int | None = None) -> ray.data
     per-bucket pair counting is a vectorized sort + shift; the per-bucket
     (from, to, n) partials are additive, so the final fold is a tiny
     groupby over |event types|^2 rows."""
-    rel = _rel()
     ds = read_table(sf_dir, "events", columns=["user_id", "ts", "event_id", "event_type"])
-    add_bucket = rel._user_bucket_adder(rel._user_buckets(sf_dir, n_buckets))
+    add_bucket = _user_bucket_adder(_user_buckets(sf_dir, n_buckets))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"]).reset_index(drop=True)
@@ -293,9 +283,8 @@ def user_event_paths(sf_dir: str, *, n_buckets: int | None = None) -> ray.data.D
     exactly one bucket, so per-bucket paths are complete, never partial
     strings needing a merge).  Path length is bounded by events-per-user —
     the natural per-key bound of event data, not corpus size."""
-    rel = _rel()
     ds = read_table(sf_dir, "events", columns=["user_id", "ts", "event_id", "event_type"])
-    add_bucket = rel._user_bucket_adder(rel._user_buckets(sf_dir, n_buckets))
+    add_bucket = _user_bucket_adder(_user_buckets(sf_dir, n_buckets))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"]).reset_index(drop=True)
@@ -347,9 +336,8 @@ def events_since_purchase(sf_dir: str, *, n_buckets: int | None = None) -> ray.d
     the marker flags segments the stream, then position-within-segment is
     arange minus each segment start (the repeat/searchsorted trick) —
     never a Python loop over users or segments."""
-    rel = _rel()
     ds = read_table(sf_dir, "events", columns=["user_id", "ts", "event_id", "event_type"])
-    add_bucket = rel._user_bucket_adder(rel._user_buckets(sf_dir, n_buckets))
+    add_bucket = _user_bucket_adder(_user_buckets(sf_dir, n_buckets))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"]).reset_index(drop=True)
@@ -392,15 +380,6 @@ ORDER BY event_id
 """
 
 
-BEHAVIOR_QUERIES = {
-    "events_intervals": (events_intervals, EVENTS_INTERVALS_SQL),
-    "cohort_retention": (cohort_retention, COHORT_RETENTION_SQL),
-    "events_transitions": (events_transitions, EVENTS_TRANSITIONS_SQL),
-    "user_event_paths": (user_event_paths, USER_EVENT_PATHS_SQL),
-    "events_since_purchase": (events_since_purchase, EVENTS_SINCE_PURCHASE_SQL),
-}
-
-
 # ---------------------------------------------------------------------------
 # activity set operations (INTERSECT / EXCEPT as one full-outer status fold)
 # ---------------------------------------------------------------------------
@@ -418,9 +397,8 @@ def user_activity_setops(sf_dir: str, *, n_buckets: int | None = None) -> ray.da
     threshold, engine-identical), one user-bucketed exchange, per-bucket
     presence-bit OR + one vectorized CASE.  No join ever materializes: the
     two sides ride the same exchange as a 0/1 column."""
-    rel = _rel()
     ds = read_table(sf_dir, "events", columns=["user_id", "ts"])
-    n_b = rel._user_buckets(sf_dir, n_buckets)
+    n_b = _user_buckets(sf_dir, n_buckets)
     mask = pa.scalar(n_b - 1, pa.int64())
     split = pa.scalar(
         pc.strptime(_HALF_SPLIT, format="%Y-%m-%d", unit="us").as_py(),
@@ -576,14 +554,6 @@ ORDER BY event_type, dow
 """
 
 
-BEHAVIOR_QUERIES.update(
-    {
-        "user_activity_setops": (user_activity_setops, USER_ACTIVITY_SETOPS_SQL),
-        "events_cube_type_dow": (events_cube_type_dow, EVENTS_CUBE_SQL),
-    }
-)
-
-
 # ---------------------------------------------------------------------------
 # temporal joins: AS-OF and band (range) — the two inequality-join shapes
 # ---------------------------------------------------------------------------
@@ -608,8 +578,7 @@ def _asof_union(sf_dir: str, n_buckets: int | None):
     click events ride ONE user-bucketed exchange as (user, int64-us ts,
     event_id, role) rows — timestamps travel as exact int64 microseconds so
     no pandas ns round-trip or shuffle unit degradation can touch them."""
-    rel = _rel()
-    n_b = rel._user_buckets(sf_dir, n_buckets)
+    n_b = _user_buckets(sf_dir, n_buckets)
     mask = pa.scalar(n_b - 1, pa.int64())
     ds = read_table(
         sf_dir, "events", columns=["event_id", "ts", "user_id", "event_type"]
@@ -753,12 +722,11 @@ def events_asof_last_click(
             },
         )
 
-    rel = _rel()
     return (
         union.groupby("bucket")
         .map_groups(asof_bucket, batch_format="pyarrow")
         .map_batches(
-            rel._pin_timestamp_us(["ts", "click_ts"]), batch_format="pyarrow"
+            _pin_timestamp_us(["ts", "click_ts"]), batch_format="pyarrow"
         )
         .sort("event_id")
     )
@@ -846,11 +814,10 @@ def events_band_join(
             purchases, {"n_clicks_band": pa.array(counts, pa.int64())}
         )
 
-    rel = _rel()
     return (
         union.groupby("bucket")
         .map_groups(band_bucket, batch_format="pyarrow")
-        .map_batches(rel._pin_timestamp_us(["ts"]), batch_format="pyarrow")
+        .map_batches(_pin_timestamp_us(["ts"]), batch_format="pyarrow")
         .sort("event_id")
     )
 
@@ -868,14 +835,6 @@ LEFT JOIN (SELECT event_id, user_id, ts FROM events
 GROUP BY p.event_id, p.user_id, p.ts
 ORDER BY p.event_id
 """
-
-
-BEHAVIOR_QUERIES.update(
-    {
-        "events_asof_last_click": (events_asof_last_click, EVENTS_ASOF_SQL),
-        "events_band_join": (events_band_join, EVENTS_BAND_JOIN_SQL),
-    }
-)
 
 
 # ---------------------------------------------------------------------------
@@ -899,8 +858,7 @@ def events_gapfill_hourly(
     for offsets); observed counts land on the grid by index arithmetic
     (start offset + hour delta), never a join.  Grid size is bounded by
     users x observation span, independent of the event count."""
-    rel = _rel()
-    n_b = rel._user_buckets(sf_dir, n_buckets)
+    n_b = _user_buckets(sf_dir, n_buckets)
     mask = pa.scalar(n_b - 1, pa.int64())
     ds = read_table(sf_dir, "events", columns=["user_id", "ts"])
 
@@ -987,7 +945,7 @@ def events_gapfill_hourly(
         ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("bucket")
         .map_groups(expand_bucket, batch_format="pyarrow")
-        .map_batches(rel._pin_timestamp_us(["hour_ts"]), batch_format="pyarrow")
+        .map_batches(_pin_timestamp_us(["hour_ts"]), batch_format="pyarrow")
         .sort(["user_id", "hour_ts"])
     )
 
@@ -1008,13 +966,6 @@ ORDER BY g.user_id, g.hour_ts
 """
 
 
-BEHAVIOR_QUERIES.update(
-    {
-        "events_gapfill_hourly": (events_gapfill_hourly, EVENTS_GAPFILL_SQL),
-    }
-)
-
-
 # ---------------------------------------------------------------------------
 # sequential pattern mining: most common 3-step event paths
 # ---------------------------------------------------------------------------
@@ -1031,8 +982,7 @@ def events_trigram_paths(
     counts fold per bucket before the tiny global (e1,e2,e3) aggregate
     (bounded by |event types|^3).  Deterministic top-k: count desc, then
     lexicographic triple."""
-    rel = _rel()
-    n_b = rel._user_buckets(sf_dir, n_buckets)
+    n_b = _user_buckets(sf_dir, n_buckets)
     mask = pa.scalar(n_b - 1, pa.int64())
     ds = read_table(sf_dir, "events", columns=["user_id", "ts", "event_id", "event_type"])
 
@@ -1128,13 +1078,6 @@ LIMIT 20
 """
 
 
-BEHAVIOR_QUERIES.update(
-    {
-        "events_trigram_paths": (events_trigram_paths, EVENTS_TRIGRAM_PATHS_SQL),
-    }
-)
-
-
 # ---------------------------------------------------------------------------
 # debounce / throttle: stateful stream filter as a batch operator
 # ---------------------------------------------------------------------------
@@ -1153,8 +1096,7 @@ def events_debounced(
 
     Same-timestamp duplicates order by event_id, so the later one always
     sees a zero gap and drops — deterministic on both engines."""
-    rel = _rel()
-    n_b = rel._user_buckets(sf_dir, n_buckets)
+    n_b = _user_buckets(sf_dir, n_buckets)
     mask = pa.scalar(n_b - 1, pa.int64())
     ds = read_table(sf_dir, "events", columns=["event_id", "user_id", "event_type", "ts"])
 
@@ -1222,7 +1164,7 @@ def events_debounced(
         ds.map_batches(emit, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("bucket")
         .map_groups(debounce_bucket, batch_format="pyarrow")
-        .map_batches(rel._pin_timestamp_us(["ts"]), batch_format="pyarrow")
+        .map_batches(_pin_timestamp_us(["ts"]), batch_format="pyarrow")
         .sort("event_id")
     )
 
@@ -1239,13 +1181,6 @@ FROM g
 WHERE prev IS NULL OR ts - prev > to_microseconds({_DEBOUNCE_US})
 ORDER BY event_id
 """
-
-
-BEHAVIOR_QUERIES.update(
-    {
-        "events_debounced": (events_debounced, EVENTS_DEBOUNCED_SQL),
-    }
-)
 
 
 # ---------------------------------------------------------------------------
@@ -1316,7 +1251,6 @@ def events_hourly_uniques(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    rel = _rel()
     return (
         ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("hu")
@@ -1325,7 +1259,7 @@ def events_hourly_uniques(sf_dir: str) -> ray.data.Dataset:
         .groupby("hour_idx")
         .aggregate(Sum("one", alias_name="n_users"), Sum("n", alias_name="n_events"))
         .map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(rel._pin_timestamp_us(["hour_ts"]), batch_format="pyarrow")
+        .map_batches(_pin_timestamp_us(["hour_ts"]), batch_format="pyarrow")
         .sort("hour_ts")
     )
 
@@ -1336,13 +1270,6 @@ SELECT date_trunc('hour', ts) AS hour_ts,
        CAST(count(*) AS BIGINT) AS n_events
 FROM events GROUP BY 1 ORDER BY hour_ts
 """
-
-
-BEHAVIOR_QUERIES.update(
-    {
-        "events_hourly_uniques": (events_hourly_uniques, EVENTS_HOURLY_UNIQUES_SQL),
-    }
-)
 
 
 # ---------------------------------------------------------------------------
@@ -1445,13 +1372,6 @@ ORDER BY hour_ts
 """
 
 
-BEHAVIOR_QUERIES.update(
-    {
-        "events_cusum_alarm": (events_cusum_alarm, EVENTS_CUSUM_SQL),
-    }
-)
-
-
 # ---------------------------------------------------------------------------
 # multi-touch attribution (linear model, exact integer credit split)
 # ---------------------------------------------------------------------------
@@ -1493,8 +1413,7 @@ def events_attribution(
     totals are complete locally and the finishing sort is the only other
     all-to-all.
     """
-    rel = _rel()
-    n_b = rel._user_buckets(sf_dir, n_buckets)
+    n_b = _user_buckets(sf_dir, n_buckets)
     mask = pa.scalar(n_b - 1, pa.int64())
     ds = read_table(
         sf_dir, "events", columns=["event_id", "ts", "user_id", "event_type", "value"]
@@ -1632,13 +1551,6 @@ FROM pair
 GROUP BY click_id, user_id
 ORDER BY click_id
 """
-
-
-BEHAVIOR_QUERIES.update(
-    {
-        "events_attribution": (events_attribution, EVENTS_ATTRIBUTION_SQL),
-    }
-)
 
 
 # ---------------------------------------------------------------------------
@@ -1823,13 +1735,6 @@ ORDER BY t_hours
 """
 
 
-BEHAVIOR_QUERIES.update(
-    {
-        "user_survival_km": (user_survival_km, USER_SURVIVAL_KM_SQL),
-    }
-)
-
-
 # ---------------------------------------------------------------------------
 # grouped entropy (behavioral diversity scoring)
 # ---------------------------------------------------------------------------
@@ -1851,8 +1756,7 @@ def user_event_entropy(sf_dir: str, *, n_buckets: int | None = None) -> ray.data
     vectorized bincount finish per user.  Types never broadcast; the
     exchange carries (user, type, partial-count) triples only.
     """
-    rel = _rel()
-    n_b = rel._user_buckets(sf_dir, n_buckets)
+    n_b = _user_buckets(sf_dir, n_buckets)
     mask = pa.scalar(n_b - 1, pa.int64())
 
     ds = read_table(sf_dir, "events", columns=["user_id", "event_type"])
@@ -1944,13 +1848,6 @@ SELECT user_id, n_events, n_types,
 FROM u
 ORDER BY user_id
 """
-
-
-BEHAVIOR_QUERIES.update(
-    {
-        "user_event_entropy": (user_event_entropy, USER_EVENT_ENTROPY_SQL),
-    }
-)
 
 
 # ---------------------------------------------------------------------------
@@ -2047,8 +1944,7 @@ def events_quota_filter(
     per-key Python call.  Output keeps the rank so consumers can see the
     quota position.
     """
-    rel = _rel()
-    n_b = rel._user_buckets(sf_dir, n_buckets)
+    n_b = _user_buckets(sf_dir, n_buckets)
     mask = pa.scalar(n_b - 1, pa.int64())
 
     ds = read_table(sf_dir, "events", columns=["event_id", "user_id", "ts"])
@@ -2131,14 +2027,6 @@ ORDER BY event_id
 """
 
 
-BEHAVIOR_QUERIES.update(
-    {
-        "cumulative_unique_users": (cumulative_unique_users, CUMULATIVE_UNIQUE_USERS_SQL),
-        "events_quota_filter": (events_quota_filter, EVENTS_QUOTA_FILTER_SQL),
-    }
-)
-
-
 # ---------------------------------------------------------------------------
 # sliding-window exact distinct: 7-day rolling active users
 # ---------------------------------------------------------------------------
@@ -2177,8 +2065,7 @@ def rolling_active_users(
     epoch-days — exact on both engines, no timestamp-unit pinning)."""
     from ray.data.aggregate import Sum
 
-    rel = _rel()
-    n_b = rel._user_buckets(sf_dir, n_buckets)
+    n_b = _user_buckets(sf_dir, n_buckets)
     mask = pa.scalar(n_b - 1, pa.int64())
     w = window_days
 
@@ -2266,13 +2153,6 @@ ORDER BY day
 """
 
 
-BEHAVIOR_QUERIES.update(
-    {
-        "rolling_active_users": (rolling_active_users, ROLLING_ACTIVE_USERS_SQL),
-    }
-)
-
-
 # ---------------------------------------------------------------------------
 # interval sweep-line: peak concurrent sessions per hour
 # ---------------------------------------------------------------------------
@@ -2309,10 +2189,9 @@ def sessions_peak_concurrency(
     running sum over distinct boundary microseconds -> per-hour max and
     max_by(c, t) last value -> lag carry-in.
     """
-    rel = _rel()
     ds = read_table(sf_dir, "events", columns=["user_id", "ts"])
     gap = pd.Timedelta(minutes=gap_minutes)
-    add_bucket = rel._user_bucket_adder(rel._user_buckets(sf_dir, n_buckets))
+    add_bucket = _user_bucket_adder(_user_buckets(sf_dir, n_buckets))
 
     delta_schema = pa.schema(
         [("t", pa.int64()), ("d", pa.int64()), ("hour", pa.int64())]
@@ -2423,15 +2302,6 @@ SELECT make_timestamp(hour * 3600000000) AS hour_ts,
 FROM hourly
 ORDER BY hour_ts
 """
-
-BEHAVIOR_QUERIES.update(
-    {
-        "sessions_peak_concurrency": (
-            sessions_peak_concurrency,
-            SESSIONS_PEAK_CONCURRENCY_SQL,
-        ),
-    }
-)
 
 
 # ---------------------------------------------------------------------------
@@ -2652,19 +2522,6 @@ SELECT (SELECT count(*) FROM c) AS n_hours,
 FROM r
 """
 
-BEHAVIOR_QUERIES.update(
-    {
-        "hourly_seasonal_anomalies": (
-            hourly_seasonal_anomalies,
-            HOURLY_SEASONAL_ANOMALIES_SQL,
-        ),
-        "events_hourly_theilsen": (
-            events_hourly_theilsen,
-            EVENTS_HOURLY_THEILSEN_SQL,
-        ),
-    }
-)
-
 
 # ---------------------------------------------------------------------------
 # session-basket affinity (unordered co-presence lift, vs ordered transitions)
@@ -2687,10 +2544,9 @@ def session_type_affinity(
     The lift arithmetic runs in PYTHON INTS driver-side over those few
     rows (n_ab * N * 1e6 overflows int64 at corpus scale; the oracle's
     HUGEINT does the same math)."""
-    rel = _rel()
     ds = read_table(sf_dir, "events", columns=["user_id", "ts", "event_type"])
     gap = pd.Timedelta(minutes=gap_minutes)
-    add_bucket = rel._user_bucket_adder(rel._user_buckets(sf_dir, n_buckets))
+    add_bucket = _user_bucket_adder(_user_buckets(sf_dir, n_buckets))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts"]).reset_index(drop=True)
@@ -2791,10 +2647,6 @@ JOIN marg ma ON ma.event_type = type_a
 JOIN marg mb ON mb.event_type = type_b
 ORDER BY type_a, type_b
 """
-
-BEHAVIOR_QUERIES.update(
-    {"session_type_affinity": (session_type_affinity, SESSION_TYPE_AFFINITY_SQL)}
-)
 
 
 # ---------------------------------------------------------------------------
@@ -2930,13 +2782,6 @@ FROM p GROUP BY lag ORDER BY lag
 """
 
 
-BEHAVIOR_QUERIES.update(
-    {
-        "events_leadlag_xcorr": (events_leadlag_xcorr, events_leadlag_xcorr_sql()),
-    }
-)
-
-
 # ---------------------------------------------------------------------------
 # offline changepoint detection (binary segmentation, exact integer contrast)
 # ---------------------------------------------------------------------------
@@ -3048,10 +2893,6 @@ QUALIFY rank <= 5
 ORDER BY rank
 """
 
-BEHAVIOR_QUERIES.update(
-    {"events_changepoint": (events_changepoint, EVENTS_CHANGEPOINT_SQL)}
-)
-
 
 # ---------------------------------------------------------------------------
 # value-RANGE window frame: max events in any trailing/leading time window
@@ -3074,9 +2915,8 @@ def events_max_burst(sf_dir: str, *, n_buckets: int | None = None) -> ray.data.D
     a bucket users concatenate onto a dense-uid combined key (the
     events_band_join trick) so BOTH probes are two vectorized
     searchsorted calls, never a per-user loop."""
-    rel = _rel()
     ds = read_table(sf_dir, "events", columns=["user_id", "ts"])
-    add_bucket = rel._user_bucket_adder(rel._user_buckets(sf_dir, n_buckets))
+    add_bucket = _user_bucket_adder(_user_buckets(sf_dir, n_buckets))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts"]).reset_index(drop=True)
@@ -3119,10 +2959,6 @@ SELECT user_id, CAST(count(*) AS BIGINT) AS n_events,
        CAST(max(burst) AS BIGINT) AS max_burst
 FROM w GROUP BY user_id ORDER BY user_id
 """
-
-BEHAVIOR_QUERIES.update(
-    {"events_max_burst": (events_max_burst, EVENTS_MAX_BURST_SQL)}
-)
 
 
 # ---------------------------------------------------------------------------
@@ -3304,8 +3140,7 @@ def events_ewma(sf_dir: str, *, n_buckets: int | None = None) -> ray.data.Datase
     (users grow with the corpus) but multiplied by the replication factor
     at the synthetic 10x-rows tier.
     """
-    rel = _rel()
-    n_b = rel._user_buckets(sf_dir, n_buckets)
+    n_b = _user_buckets(sf_dir, n_buckets)
     mask = pa.scalar(n_b - 1, pa.int64())
 
     ds = read_table(sf_dir, "events", columns=["event_id", "ts", "user_id", "value"])
@@ -3396,14 +3231,6 @@ FROM r ORDER BY user_id, event_id
 """
 
 
-BEHAVIOR_QUERIES.update(
-    {
-        "user_churn_features": (user_churn_features, USER_CHURN_FEATURES_SQL),
-        "events_ewma": (events_ewma, EVENTS_EWMA_SQL),
-    }
-)
-
-
 # ---------------------------------------------------------------------------
 # pairwise user-set Jaccard matrix across event types
 # ---------------------------------------------------------------------------
@@ -3428,7 +3255,6 @@ def user_jaccard_matrix(sf_dir: str, *, n_buckets: int | None = None) -> pa.Tabl
     """
     from ray.data.aggregate import Sum
 
-    rel = _rel()
     # tiny pass: the alphabetical type -> bit mapping (bounded domain)
     tds = read_table(sf_dir, "events", columns=["event_type"])
 
@@ -3451,7 +3277,7 @@ def user_jaccard_matrix(sf_dir: str, *, n_buckets: int | None = None) -> pa.Tabl
     bit_of = {t: i for i, t in enumerate(types)}
 
     ds = read_table(sf_dir, "events", columns=["user_id", "event_type"])
-    n_b = rel._user_buckets(sf_dir, n_buckets)
+    n_b = _user_buckets(sf_dir, n_buckets)
     bmask = pa.scalar(n_b - 1, pa.int64())
 
     pair_schema = pa.schema(
@@ -3651,14 +3477,6 @@ FROM pr ORDER BY type_a, type_b
 """
 
 
-BEHAVIOR_QUERIES.update(
-    {
-        "user_jaccard_matrix": (user_jaccard_matrix, USER_JACCARD_MATRIX_SQL),
-        "hourly_profile_similarity": (hourly_profile_similarity, HOURLY_PROFILE_SIMILARITY_SQL),
-    }
-)
-
-
 # ---------------------------------------------------------------------------
 # session entry->exit matrix (bow-tie pathing)
 # ---------------------------------------------------------------------------
@@ -3685,9 +3503,8 @@ def session_entry_exit_matrix(
     """
     from ray.data.aggregate import Sum
 
-    rel = _rel()
     ds = read_table(sf_dir, "events", columns=["user_id", "ts", "event_id", "event_type"])
-    n_b = rel._user_buckets(sf_dir, n_buckets)
+    n_b = _user_buckets(sf_dir, n_buckets)
     bmask = pa.scalar(n_b - 1, pa.int64())
     gap_us = gap_minutes * 60_000_000
 
@@ -3886,14 +3703,6 @@ SELECT (SELECT CAST(n AS BIGINT) FROM m WHERE arm = 0) AS n_a,
 """
 
 
-BEHAVIOR_QUERIES.update(
-    {
-        "session_entry_exit_matrix": (session_entry_exit_matrix, SESSION_ENTRY_EXIT_SQL),
-        "ab_median_uplift": (ab_median_uplift, AB_MEDIAN_UPLIFT_SQL),
-    }
-)
-
-
 # ---------------------------------------------------------------------------
 # FORWARD as-of: each click's time-to-NEXT-purchase
 # ---------------------------------------------------------------------------
@@ -3920,9 +3729,8 @@ def events_asof_next_purchase(
     assigns every click its successor in O(n) with no Python per event.
     Output wait_us is an exact int64 difference.
     """
-    rel = _rel()
     ds = read_table(sf_dir, "events", columns=["event_id", "ts", "user_id", "event_type"])
-    n_b = rel._user_buckets(sf_dir, n_buckets)
+    n_b = _user_buckets(sf_dir, n_buckets)
     bmask = pa.scalar(n_b - 1, pa.int64())
 
     row_schema = pa.schema(
@@ -4032,16 +3840,6 @@ ORDER BY event_id
 """
 
 
-BEHAVIOR_QUERIES.update(
-    {
-        "events_asof_next_purchase": (
-            events_asof_next_purchase,
-            EVENTS_ASOF_NEXT_PURCHASE_SQL,
-        ),
-    }
-)
-
-
 # ---------------------------------------------------------------------------
 # conditional entropy of the event-type chain — how predictable is the NEXT
 # action given the current one?  Completes the information-theory family:
@@ -4110,16 +3908,6 @@ SELECT from_type, CAST(total AS BIGINT) AS n_out,
        CAST(s // total AS BIGINT) AS cond_entropy_e6
 FROM terms ORDER BY from_type
 """
-
-
-BEHAVIOR_QUERIES.update(
-    {
-        "events_transition_entropy": (
-            events_transition_entropy,
-            EVENTS_TRANSITION_ENTROPY_SQL,
-        ),
-    }
-)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,13 @@ Ray-Data-native replacement for the reference's whole orchestration stack
 the streaming executor provides the drain loop, backpressure and retries; the
 pipeline is just Dataset transforms (SURVEY.md §3.4).
 
-Three modes:
+Four modes:
 
-- ``inline`` (default, mirrors the reference default
+- ``fused`` (the CLI default and the headline plan): one task reads one
+  shard and extracts it, with no intermediate blocks between read and
+  parse.  Measured ~2x the chained read->map plan; checkpointed runs use
+  the same per-shard plan.
+- ``inline`` (the ``extract_pipeline`` default, mirrors the reference default
   ``enable_pdf_page_slice_fanout=False``, ``orchestrators/ray/config.py:238-246``):
   one actor-pool ``map_batches`` pass, no shuffle.  Ray's dynamic block
   splitting + streaming backpressure absorb per-document cost variance.

@@ -1,7 +1,8 @@
 """Relational pipeline helpers over the driver testdata tables.
 
 Each function takes ``sf_dir`` and lazily builds a Ray Data pipeline; the
-matching DuckDB oracle SQL lives in ``__ray_entry__.oracle_sql``.  These are
+matching DuckDB oracle SQL sits beside it, and both are registered as one
+row of ``docling_jobkit_ray/queries.py``.  These are
 the "standard query surface" of the engine (SURVEY.md §2.6-2.8): filters,
 projections, grouped aggregates (with partial pre-aggregation), broadcast
 joins, sort/top-k, distinct, window-bucketed aggregates.
@@ -470,21 +471,6 @@ FROM events GROUP BY user_id ORDER BY user_id
 
 
 # ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
-
-RELATIONAL_QUERIES = {
-    "q1_pricing_summary": (q1_pricing_summary, Q1_SQL),
-    "filter_project_lineitem": (filter_project_lineitem, FILTER_PROJECT_SQL),
-    "join_orders_customer": (join_orders_customer, JOIN_ORDERS_CUSTOMER_SQL),
-    "revenue_by_nation": (revenue_by_nation, REVENUE_BY_NATION_SQL),
-    "topk_orders": (topk_orders, TOPK_ORDERS_SQL),
-    "distinct_event_types": (distinct_event_types, DISTINCT_EVENT_TYPES_SQL),
-    "events_hourly_window": (events_hourly_window, EVENTS_HOURLY_WINDOW_SQL),
-    "events_user_stats": (events_user_stats, EVENTS_USER_STATS_SQL),
-}
-
-# ---------------------------------------------------------------------------
 # q6: forecast revenue (pure filter + global aggregate)
 # ---------------------------------------------------------------------------
 
@@ -750,14 +736,6 @@ SELECT o_orderkey, o_totalprice FROM orders
 WHERE (o_orderkey & 7) = 0 ORDER BY o_orderkey
 """
 
-RELATIONAL_QUERIES.update(
-    {
-        "q6_forecast_revenue": (q6_forecast_revenue, Q6_SQL),
-        "q3_shipping_priority": (q3_shipping_priority, Q3_SQL),
-        "events_asof_login": (events_asof_login, EVENTS_ASOF_SQL),
-        "sample_orders": (sample_orders, SAMPLE_ORDERS_SQL),
-    }
-)
 
 # ---------------------------------------------------------------------------
 # gap-based sessionization (streaming-shaped custom operator)
@@ -839,7 +817,6 @@ GROUP BY user_id, session_id
 ORDER BY user_id, session_id
 """
 
-RELATIONAL_QUERIES["events_sessionize"] = (events_sessionize, EVENTS_SESSIONIZE_SQL)
 
 # ---------------------------------------------------------------------------
 # grouped top-k (per-key top-n, a window-function-shaped operator)
@@ -916,10 +893,6 @@ SELECT o_custkey, o_orderkey, o_totalprice, CAST(rank AS BIGINT) AS rank FROM (
 ) WHERE rank <= 2 ORDER BY o_custkey, rank
 """
 
-RELATIONAL_QUERIES["top_orders_per_customer"] = (
-    top_orders_per_customer,
-    TOP_ORDERS_PER_CUSTOMER_SQL,
-)
 
 # ---------------------------------------------------------------------------
 # shuffle hash join (native Dataset.join) — the big-x-big strategy
@@ -946,11 +919,6 @@ def join_orders_customer_shuffle(sf_dir: str) -> ray.data.Dataset:
         ["o_orderkey", "o_custkey", "o_totalprice", "c_name", "c_mktsegment"]
     ).sort("o_orderkey")
 
-
-RELATIONAL_QUERIES["join_orders_customer_shuffle"] = (
-    join_orders_customer_shuffle,
-    JOIN_ORDERS_CUSTOMER_SQL,
-)
 
 # ---------------------------------------------------------------------------
 # union
@@ -1801,30 +1769,6 @@ ORDER BY o_totalprice DESC, o_orderkey LIMIT 20
 """
 
 
-RELATIONAL_QUERIES.update(
-    {
-        "q5_local_supplier_revenue": (q5_local_supplier_revenue, Q5_SQL),
-        "q18_large_volume_orders": (q18_large_volume_orders, Q18_SQL),
-        "events_rolling_sum": (events_rolling_sum, EVENTS_ROLLING_SUM_SQL),
-        "events_orders_range_join": (
-            events_orders_range_join,
-            EVENTS_ORDERS_RANGE_JOIN_SQL,
-        ),
-        "events_value_zscore": (events_value_zscore, EVENTS_VALUE_ZSCORE_SQL),
-        "events_sliding_window": (events_sliding_window, EVENTS_SLIDING_WINDOW_SQL),
-        "union_order_segments": (union_order_segments, UNION_ORDER_SEGMENTS_SQL),
-        "count_distinct_users": (count_distinct_users, COUNT_DISTINCT_USERS_SQL),
-        "customers_without_orders": (
-            customers_without_orders,
-            CUSTOMERS_WITHOUT_ORDERS_SQL,
-        ),
-        "order_priority_semi": (order_priority_semi, ORDER_PRIORITY_SEMI_SQL),
-        "revenue_by_year": (revenue_by_year, REVENUE_BY_YEAR_SQL),
-        "parts_named_bolt": (parts_named_bolt, PARTS_NAMED_BOLT_SQL),
-    }
-)
-
-
 def q13_customer_distribution(sf_dir: str, *, n_buckets: int | None = None) -> ray.data.Dataset:
     """TPC-H Q13 shape: distribution of order counts per customer,
     INCLUDING zero-order customers — the canonical left-outer-join +
@@ -1938,11 +1882,6 @@ GROUP BY c_count
 ORDER BY custdist DESC, c_count DESC
 """
 
-RELATIONAL_QUERIES["q13_customer_distribution"] = (
-    q13_customer_distribution,
-    Q13_SQL,
-)
-
 
 def suppliers_per_part(sf_dir: str, *, n_buckets: int | None = None) -> ray.data.Dataset:
     """COUNT(DISTINCT ...) GROUP BY — distinct suppliers per part over
@@ -2010,11 +1949,6 @@ GROUP BY l_partkey
 ORDER BY l_partkey
 """
 
-RELATIONAL_QUERIES["suppliers_per_part"] = (
-    suppliers_per_part,
-    SUPPLIERS_PER_PART_SQL,
-)
-
 
 def order_priority_semi_bloom(sf_dir: str) -> ray.data.Dataset:
     """``order_priority_semi`` through the BLOOM-PREFILTERED join
@@ -2027,12 +1961,6 @@ def order_priority_semi_bloom(sf_dir: str) -> ray.data.Dataset:
     from .joins import bloom_prefiltered_join
 
     return _order_priority_plan(sf_dir, bloom_prefiltered_join)
-
-
-RELATIONAL_QUERIES["order_priority_semi_bloom"] = (
-    order_priority_semi_bloom,
-    ORDER_PRIORITY_SEMI_SQL,
-)
 
 
 def top_event_type_per_hour(sf_dir: str) -> ray.data.Dataset:
@@ -2098,11 +2026,6 @@ FROM (
   FROM events GROUP BY 1, 2
 ) t WHERE rk = 1 ORDER BY hour
 """
-
-RELATIONAL_QUERIES["top_event_type_per_hour"] = (
-    top_event_type_per_hour,
-    TOP_EVENT_TYPE_PER_HOUR_SQL,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -2339,11 +2262,6 @@ FROM orders o
 ORDER BY o_orderkey
 """
 
-RELATIONAL_QUERIES["orders_price_deciles"] = (
-    orders_price_deciles,
-    ORDERS_PRICE_DECILES_SQL,
-)
-
 
 # ---------------------------------------------------------------------------
 # grouping-sets rollup (multi-level aggregate from ONE partial scan)
@@ -2437,8 +2355,6 @@ GROUP BY ROLLUP(n_name, o_year)
 ORDER BY n_name, o_year
 """
 
-RELATIONAL_QUERIES["revenue_rollup"] = (revenue_rollup, REVENUE_ROLLUP_SQL)
-
 
 # ---------------------------------------------------------------------------
 # pivot (long -> wide conditional aggregation)
@@ -2503,8 +2419,6 @@ GROUP BY 1
 ORDER BY hour
 """
 
-RELATIONAL_QUERIES["events_pivot_hourly"] = (events_pivot_hourly, EVENTS_PIVOT_HOURLY_SQL)
-
 
 def events_unpivot_hourly(sf_dir: str) -> ray.data.Dataset:
     """Wide->long UNPIVOT of the hourly pivot: one (hour, event_type,
@@ -2555,11 +2469,6 @@ FROM (UNPIVOT wide ON n_click, n_error, n_purchase, n_signup, n_view
       INTO NAME name VALUE value)
 ORDER BY hour, event_type
 """
-
-RELATIONAL_QUERIES["events_unpivot_hourly"] = (
-    events_unpivot_hourly,
-    EVENTS_UNPIVOT_HOURLY_SQL,
-)
 
 
 def event_type_share_hourly(sf_dir: str) -> ray.data.Dataset:
@@ -2639,11 +2548,6 @@ SELECT hour, event_type, value_c / 100.0 AS sum_value,
 FROM agg
 ORDER BY hour, event_type
 """
-
-RELATIONAL_QUERIES["event_type_share_hourly"] = (
-    event_type_share_hourly,
-    EVENT_TYPE_SHARE_HOURLY_SQL,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -2742,11 +2646,6 @@ SELECT event_type, CAST(n AS BIGINT) AS n,
 FROM m
 ORDER BY event_type
 """
-
-RELATIONAL_QUERIES["events_hour_value_corr"] = (
-    events_hour_value_corr,
-    EVENTS_HOUR_VALUE_CORR_SQL,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -3311,17 +3210,6 @@ ORDER BY c_mktsegment
 """
 
 
-RELATIONAL_QUERIES.update(
-    {
-        "q4_priority_with_returns": (q4_priority_with_returns, Q4_SQL),
-        "q10_returned_revenue": (q10_returned_revenue, Q10_SQL),
-        "q12_priority_linestatus": (q12_priority_linestatus, Q12_SQL),
-        "q14_promo_revenue": (q14_promo_revenue, Q14_SQL),
-        "q22_idle_customers": (q22_idle_customers, Q22_SQL),
-    }
-)
-
-
 # ---------------------------------------------------------------------------
 # ordered funnel analysis (sequential-pattern counts per user)
 # ---------------------------------------------------------------------------
@@ -3415,24 +3303,6 @@ def events_funnel_sql(steps: tuple[str, ...] = ("view", "click", "purchase")) ->
     return (
         "WITH " + ",\n".join(ctes) + "\n" + "\nUNION ALL ".join(selects) + "\nORDER BY step"
     )
-
-
-RELATIONAL_QUERIES["events_funnel"] = (events_funnel, events_funnel_sql())
-
-# Supplementary TPC-H plan shapes live in tpch_supp.py (this import sits at
-# the very end of the module so tpch_supp's `from .relational import ...`
-# finds every helper already bound; keep it last).
-from .tpch_supp import TPCH_SUPP_QUERIES  # noqa: E402
-
-RELATIONAL_QUERIES.update(TPCH_SUPP_QUERIES)
-
-from .behavior import BEHAVIOR_QUERIES  # noqa: E402
-
-RELATIONAL_QUERIES.update(BEHAVIOR_QUERIES)
-
-from .warehouse import WAREHOUSE_QUERIES  # noqa: E402
-
-RELATIONAL_QUERIES.update(WAREHOUSE_QUERIES)
 
 
 # ---------------------------------------------------------------------------
@@ -3560,8 +3430,6 @@ SELECT o_custkey, r_us, f, m_cents, r_score, f_score, m_score,
        CAST(100 * r_score + 10 * f_score + m_score AS BIGINT) AS rfm_code
 FROM v ORDER BY o_custkey
 """
-
-RELATIONAL_QUERIES["rfm_segments"] = (rfm_segments, RFM_SEGMENTS_SQL)
 
 
 # ---------------------------------------------------------------------------
@@ -3691,8 +3559,6 @@ WHERE rn = 1
 ORDER BY o_orderkey
 """
 
-RELATIONAL_QUERIES["orders_merge_upsert"] = (orders_merge_upsert, ORDERS_MERGE_UPSERT_SQL)
-
 
 # ---------------------------------------------------------------------------
 # distributed skyline (Pareto frontier)
@@ -3819,11 +3685,6 @@ WHERE price_cents = date_max AND (prev_max IS NULL OR date_max > prev_max)
 ORDER BY o_orderkey
 """
 
-RELATIONAL_QUERIES["orders_pareto_frontier"] = (
-    orders_pareto_frontier,
-    ORDERS_PARETO_FRONTIER_SQL,
-)
-
 
 # ---------------------------------------------------------------------------
 # Z-order (Morton) layout keys — multi-dimensional data clustering
@@ -3894,8 +3755,6 @@ WITH b AS (
 SELECT o_orderkey, CAST({_zorder_sql_expr("a", "h")} AS BIGINT) AS zkey
 FROM b ORDER BY zkey, o_orderkey
 """
-
-RELATIONAL_QUERIES["orders_zorder_keys"] = (orders_zorder_keys, ORDERS_ZORDER_KEYS_SQL)
 
 
 # ---------------------------------------------------------------------------
@@ -4162,11 +4021,6 @@ FROM med m JOIN trimmed t USING (grp) JOIN mad d USING (grp)
 ORDER BY grp
 """
 
-RELATIONAL_QUERIES["orders_robust_stats"] = (
-    orders_robust_stats,
-    ORDERS_ROBUST_STATS_SQL,
-)
-
 
 def orders_outliers_mad(sf_dir: str, *, k_mad_tenths: int = 19) -> ray.data.Dataset:
     """Row-level robust outlier detection: orders whose value deviates from
@@ -4251,11 +4105,6 @@ FROM base b JOIN med m USING (grp) JOIN mad d ON d.grp = b.grp
 WHERE abs(b.cents - m.median_cents) * 10 > 19 * d.mad_cents
 ORDER BY b.o_orderkey
 """
-
-RELATIONAL_QUERIES["orders_outliers_mad"] = (
-    orders_outliers_mad,
-    ORDERS_OUTLIERS_MAD_SQL,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -4415,8 +4264,6 @@ WHERE a.k IS NULL OR b.k IS NULL OR a.cents <> b.cents
 ORDER BY o_orderkey
 """
 
-RELATIONAL_QUERIES["orders_cdc_diff"] = (orders_cdc_diff, ORDERS_CDC_DIFF_SQL)
-
 
 # ---------------------------------------------------------------------------
 # repeat-purchase intervals with an EXACT grouped median (med2 trick)
@@ -4540,11 +4387,6 @@ FROM r
 GROUP BY o_custkey
 ORDER BY o_custkey
 """
-
-RELATIONAL_QUERIES["customer_reorder_intervals"] = (
-    customer_reorder_intervals,
-    CUSTOMER_REORDER_INTERVALS_SQL,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -4690,11 +4532,6 @@ FROM agg
 ORDER BY nation
 """
 
-RELATIONAL_QUERIES["revenue_gini_by_nation"] = (
-    revenue_gini_by_nation,
-    REVENUE_GINI_SQL,
-)
-
 
 # ---------------------------------------------------------------------------
 # running-record window: record-breaking orders per customer
@@ -4785,5 +4622,3 @@ SELECT o_custkey,
                      THEN 1 ELSE 0 END) AS BIGINT) AS n_records
 FROM r GROUP BY o_custkey ORDER BY o_custkey
 """
-
-RELATIONAL_QUERIES["record_orders"] = (record_orders, RECORD_ORDERS_SQL)

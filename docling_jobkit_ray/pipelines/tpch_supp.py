@@ -40,29 +40,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..sources.pages import read_table
-
-
-def _rel():
-    """Lazy accessor for relational.py helpers.  relational.py imports THIS
-    module at its tail to fold TPCH_SUPP_QUERIES into RELATIONAL_QUERIES, so
-    a module-level import back into relational would be circular — and Ray
-    workers import this module FIRST when unpickling its UDFs.  All uses run
-    at pipeline build time on the driver, never per batch."""
-    from . import relational
-
-    return relational
-
-
-def _broadcast_table(*a, **kw):
-    return _rel()._broadcast_table(*a, **kw)
-
-
-def _lookup(*a, **kw):
-    return _rel()._lookup(*a, **kw)
-
-
-def _ts(*a, **kw):
-    return _rel()._ts(*a, **kw)
+from .relational import _broadcast_table, _lookup, _pin_timestamp_us, _ts
 
 
 def _cents(col) -> pa.ChunkedArray:
@@ -1380,21 +1358,6 @@ ORDER BY numwait DESC, s_suppkey
 """
 
 
-TPCH_SUPP_QUERIES = {
-    "q2_min_balance_supplier": (q2_min_balance_supplier, Q2_SQL),
-    "q20_excess_suppliers": (q20_excess_suppliers, Q20_SQL),
-    "q21_waiting_suppliers": (q21_waiting_suppliers, Q21_SQL),
-    "q7_volume_shipping": (q7_volume_shipping, Q7_SQL),
-    "q8_market_share": (q8_market_share, Q8_SQL),
-    "q9_product_profit": (q9_product_profit, Q9_SQL),
-    "q11_important_parts": (q11_important_parts, Q11_SQL),
-    "q15_top_supplier": (q15_top_supplier, Q15_SQL),
-    "q16_supplier_part_counts": (q16_supplier_part_counts, Q16_SQL),
-    "q17_small_qty_revenue": (q17_small_qty_revenue, Q17_SQL),
-    "q19_disjunctive_revenue": (q19_disjunctive_revenue, Q19_SQL),
-}
-
-
 # ---------------------------------------------------------------------------
 # SCD Type 2: customer order-status history as validity intervals
 # ---------------------------------------------------------------------------
@@ -1511,13 +1474,12 @@ def scd2_customer_status(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    rel = _rel()
     return (
         ds.map_batches(emit, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("bucket")
         .map_groups(runs_bucket, batch_format="pyarrow")
         .map_batches(
-            rel._pin_timestamp_us(["valid_from", "valid_to"]),
+            _pin_timestamp_us(["valid_from", "valid_to"]),
             batch_format="pyarrow",
         )
         .sort(["o_custkey", "version"])
@@ -1554,8 +1516,6 @@ FROM agg ORDER BY o_custkey, version
 scd2_customer_status.__doc__ = scd2_customer_status.__doc__.format(
     sentinel=_SCD2_SENTINEL
 )
-
-TPCH_SUPP_QUERIES["scd2_customer_status"] = (scd2_customer_status, SCD2_SQL)
 
 
 # ---------------------------------------------------------------------------
@@ -1725,10 +1685,3 @@ SELECT month, cents / 100.0 AS revenue,
 FROM w WHERE prev IS NOT NULL
 ORDER BY month
 """
-
-
-TPCH_SUPP_QUERIES["top_orders_diversified"] = (
-    top_orders_diversified,
-    TOP_ORDERS_DIVERSIFIED_SQL,
-)
-TPCH_SUPP_QUERIES["revenue_mom_growth"] = (revenue_mom_growth, REVENUE_MOM_GROWTH_SQL)

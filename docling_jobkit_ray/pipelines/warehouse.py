@@ -40,24 +40,11 @@ import ray.data
 
 from ..functions.stats_tests import _trunc_div
 from ..sources.pages import read_table
+from .relational import _CDC_INSERT_OFF, _pin_timestamp_us, _user_bucket_adder, _user_buckets
+from .tpch_supp import _cents
 
 _P = 2_147_483_647  # 2^31 - 1 (Mersenne prime): the mod-p checksum domain
 _US_PER_DAY = 86_400_000_000
-
-
-def _rel():
-    """Lazy accessor for relational.py helpers (relational.py imports this
-    module at its tail — see tpch_supp._rel for the worker-side rationale)."""
-    from . import relational
-
-    return relational
-
-
-def _cents(col) -> pa.ChunkedArray:
-    """Exact int64 cents of a currency double column (same kernel as
-    tpch_supp._cents; duplicated 2-liner to avoid a module-level
-    cross-import that workers would re-resolve)."""
-    return pc.cast(pc.round(pc.multiply(col, pa.scalar(100.0))), pa.int64())
 
 
 def _order_buckets(sf_dir: str, *, min_buckets: int = 64) -> int:
@@ -488,9 +475,8 @@ def events_time_weighted_value(
     num/den/100.0 — two IEEE ops in the same order in both engines.
     Users never span buckets, so the per-bucket fold emits final rows
     directly (no second exchange)."""
-    rel = _rel()
     ds = read_table(sf_dir, "events", columns=["user_id", "ts", "event_id", "value"])
-    add_bucket = rel._user_bucket_adder(rel._user_buckets(sf_dir, n_buckets))
+    add_bucket = _user_bucket_adder(_user_buckets(sf_dir, n_buckets))
 
     out_schema = pa.schema(
         [
@@ -805,9 +791,6 @@ ORDER BY digit
 # checksum segment diff (the rsync-style locator over two table versions)
 # ---------------------------------------------------------------------------
 
-_CDC_INSERT_OFF = 1_000_000_000_000  # same past-the-domain key offset as
-# relational.orders_cdc_diff (duplicated constant: no module-level
-# cross-import, see _cents)
 _DIFF_NB = 256  # fixed segment grid: the locator's output granularity is a
 # protocol constant (like an rsync block size), NOT scale-derived — the
 # output is <= 256 rows at any data size and each segment's checksum folds
@@ -1042,13 +1025,12 @@ def events_ohlc_daily(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    rel = _rel()
     return (
         read_table(sf_dir, "events", columns=["ts", "event_id", "value"])
         .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("day_us")
         .map_groups(fold, batch_format="pyarrow")
-        .map_batches(rel._pin_timestamp_us(["day"]), batch_format="pyarrow")
+        .map_batches(_pin_timestamp_us(["day"]), batch_format="pyarrow")
         .sort("day")
     )
 
@@ -1979,8 +1961,6 @@ FROM g, tot ORDER BY g.nationkey
 """
 
 
-
-
 # ---------------------------------------------------------------------------
 # ABC / Pareto inventory classification of parts by revenue
 # ---------------------------------------------------------------------------
@@ -2347,8 +2327,6 @@ GROUP BY 1, 2 ORDER BY 1, 2
 """
 
 
-
-
 # ---------------------------------------------------------------------------
 # hierarchical ratio-to-parent: nation revenue share of region and of global
 # ---------------------------------------------------------------------------
@@ -2447,8 +2425,6 @@ SELECT nationkey, regionkey, CAST(rev AS BIGINT) AS rev_cents,
          AS share_global_ppm
 FROM j ORDER BY nationkey
 """
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -2583,11 +2559,17 @@ FROM a ORDER BY custkey
 """
 
 
-
-
 # ---------------------------------------------------------------------------
 # relational division: customers who ordered ALL of the top brands
 # ---------------------------------------------------------------------------
+
+def _or_by_key(keys: np.ndarray, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bitwise-OR ``bits`` per distinct key -> (sorted unique keys, masks)."""
+    ukeys, inv = np.unique(keys, return_inverse=True)
+    masks = np.zeros(len(ukeys), np.int64)
+    np.bitwise_or.at(masks, inv, bits)
+    return ukeys, masks
+
 
 _DIVISION_TOP_BRANDS = 5
 
@@ -2606,12 +2588,15 @@ def customers_with_all_brands(
     Plan shape: pass 1 folds per-brand distinct-order counts (combiner:
     per-batch distinct (order, brand) pairs through the broadcast
     part->brand dim) and takes the bounded top-k divisor; pass 2
-    BROADCASTS the k brands as presence bits, folds per-batch DISTINCT
-    (custkey, bit) pairs through the orders->custkey broadcast dim, ORs
-    the bits per customer through ONE custkey-bucketed exchange (Ray's
-    aggregate set has no bit-or), and keeps mask == full.  The
-    count(DISTINCT)==k trick as a bit fold — no join materializes.  At
-    100 TB the two dim hops become bucketed joins (pipelines/joins.py).
+    BROADCASTS the k brands as presence bits and pre-ORs them per order
+    inside each lineitem batch.  An orderkey-bucketed tagged union
+    co-shuffles those partials with the (o_orderkey, o_custkey) rows, so
+    each bucket resolves the customer (the exchange-1 recipe of
+    ``lineitem_status_pit``); ONE custkey-bucketed exchange then ORs the
+    bits per customer (Ray's aggregate set has no bit-or) and keeps
+    mask == full.  The count(DISTINCT)==k trick as a bit fold — no fact
+    table reaches the driver.  At 100 TB the part->brand hop becomes a
+    bucketed join (pipelines/joins.py).
     """
     from ray.data.aggregate import Sum
 
@@ -2663,43 +2648,75 @@ def customers_with_all_brands(
     for bit, bi in enumerate(divisor_idx):
         bit_of_brand[bi] = bit
 
-    # broadcast order -> customer map (dim hop)
-    orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_custkey"]).take_all()
-    okeys = np.array([r["o_orderkey"] for r in orders], np.int64)
-    ocust = np.array([r["o_custkey"] for r in orders], np.int64)
-    oorder = np.argsort(okeys)
-    okeys, ocust = okeys[oorder], ocust[oorder]
-
+    # exchange 1 (orderkey bucket): per-batch brand bits pre-ORed per
+    # order co-shuffle with the (orderkey, custkey) rows; each bucket
+    # resolves the custkey and pre-ORs per customer
+    n_ob = _order_buckets(sf_dir)
+    omask = pa.scalar(n_ob - 1, pa.int64())
+    ex1 = pa.schema(
+        [
+            ("key", pa.int64()),
+            ("bits", pa.int64()),
+            ("custkey", pa.int64()),
+            ("side", pa.int8()),
+            ("bucket", pa.int64()),
+        ]
+    )
     bit_schema = pa.schema([("custkey", pa.int64()), ("bits", pa.int64())])
     out_schema = pa.schema([("custkey", pa.int64()), ("n_brands", pa.int64())])
 
-    def bits_partial(batch: pa.Table) -> pa.Table:
+    def li_bits(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0 or batch.num_columns == 0:
-            return bit_schema.empty_table()
+            return ex1.empty_table()
         pk = pc.cast(batch["l_partkey"], pa.int64()).to_numpy(zero_copy_only=False)
         bit = bit_of_brand[pbrand[np.searchsorted(pkeys, pk)]]
         hit = bit >= 0
-        if not hit.any():
-            return bit_schema.empty_table()
-        ok = pc.cast(batch["l_orderkey"], pa.int64()).to_numpy(zero_copy_only=False)[hit]
-        cust = ocust[np.searchsorted(okeys, ok)]
-        bits = (np.int64(1) << bit[hit]).astype(np.int64)
-        t = pa.table(
-            {"custkey": pa.array(cust, pa.int64()), "bits": pa.array(bits, pa.int64())}
-        )
-        # pre-OR per customer inside the batch (combiner)
-        df = t.to_pandas().groupby("custkey", as_index=False)["bits"].agg(
-            np.bitwise_or.reduce
-        )
+        ok = pc.cast(batch["l_orderkey"], pa.int64()).to_numpy(zero_copy_only=False)
+        keys, masks = _or_by_key(ok[hit], np.int64(1) << bit[hit])
+        key = pa.array(keys, pa.int64())
         return pa.table(
             {
-                "custkey": pa.array(df["custkey"].to_numpy(np.int64), pa.int64()),
-                "bits": pa.array(df["bits"].to_numpy(np.int64), pa.int64()),
+                "key": key,
+                "bits": pa.array(masks, pa.int64()),
+                "custkey": pa.nulls(len(key), pa.int64()),
+                "side": pa.array(np.zeros(len(key), np.int8), pa.int8()),
+                "bucket": pc.bit_wise_and(key, omask),
             }
         )
 
-    # the global bit-OR needs a custkey-bucketed exchange (Ray's aggregate
-    # set has no bit-or): per-bucket numpy bitwise_or.at over customer runs
+    def ord_map(batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0 or batch.num_columns == 0:
+            return ex1.empty_table()
+        n = batch.num_rows
+        key = pc.cast(batch["o_orderkey"], pa.int64())
+        return pa.table(
+            {
+                "key": key,
+                "bits": pa.nulls(n, pa.int64()),
+                "custkey": pc.cast(batch["o_custkey"], pa.int64()),
+                "side": pa.array(np.ones(n, np.int8), pa.int8()),
+                "bucket": pc.bit_wise_and(key, omask),
+            }
+        )
+
+    def resolve_bucket(group: pa.Table) -> pa.Table:
+        if group.num_rows == 0 or group.num_columns == 0:
+            return bit_schema.empty_table()
+        group = group.select(ex1.names).cast(ex1)
+        facts = group.filter(pc.equal(group["side"], 0)).select(["key", "bits"])
+        omap = group.filter(pc.equal(group["side"], 1)).select(["key", "custkey"])
+        if facts.num_rows == 0 or omap.num_rows == 0:
+            return bit_schema.empty_table()
+        j = facts.join(omap, keys=["key"], join_type="inner")
+        keys, masks = _or_by_key(
+            np.asarray(j["custkey"], np.int64), np.asarray(j["bits"], np.int64)
+        )
+        return pa.table(
+            {"custkey": pa.array(keys, pa.int64()), "bits": pa.array(masks, pa.int64())}
+        )
+
+    # exchange 2: the global bit-OR needs a custkey-bucketed exchange
+    # (Ray's aggregate set has no bit-or)
     n_b = 64
     bmask = pa.scalar(n_b - 1, pa.int64())
 
@@ -2715,15 +2732,9 @@ def customers_with_all_brands(
     def or_bucket(group: pa.Table) -> pa.Table:
         if group.num_rows == 0 or group.num_columns == 0:
             return out_schema.empty_table()
-        ck = np.asarray(group["custkey"], np.int64)
-        bits = np.asarray(group["bits"], np.int64)
-        order = np.argsort(ck, kind="stable")
-        ck, bits = ck[order], bits[order]
-        new_seg = np.concatenate([[True], ck[1:] != ck[:-1]])
-        seg_id = np.cumsum(new_seg) - 1
-        masks = np.zeros(seg_id[-1] + 1 if len(seg_id) else 0, np.int64)
-        np.bitwise_or.at(masks, seg_id, bits)
-        keys = ck[new_seg]
+        keys, masks = _or_by_key(
+            np.asarray(group["custkey"], np.int64), np.asarray(group["bits"], np.int64)
+        )
         keep = masks == full_mask
         return pa.table(
             {
@@ -2741,8 +2752,12 @@ def customers_with_all_brands(
             return out_schema.empty_table()
         return batch.select(out_schema.names).cast(out_schema)
 
+    orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
     return (
-        li.map_batches(bits_partial, batch_format="pyarrow", zero_copy_batch=True)
+        li.map_batches(li_bits, batch_format="pyarrow", zero_copy_batch=True)
+        .union(orders.map_batches(ord_map, batch_format="pyarrow", zero_copy_batch=True))
+        .groupby("bucket")
+        .map_groups(resolve_bucket, batch_format="pyarrow")
         .map_batches(add_bucket, batch_format="pyarrow")
         .groupby("bucket")
         .map_groups(or_bucket, batch_format="pyarrow")
@@ -2887,8 +2902,6 @@ FUNCTIONAL_DEPENDENCY_SQL = (
     )
     + "\n) ORDER BY dep"
 )
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -3172,8 +3185,6 @@ FROM f WHERE n_hits > 0 ORDER BY orderkey
 """
 
 
-
-
 # ---------------------------------------------------------------------------
 # Lorenz-curve deciles of per-customer revenue (concentration profile)
 # ---------------------------------------------------------------------------
@@ -3379,8 +3390,6 @@ FROM g
 """
 
 
-
-
 # ---------------------------------------------------------------------------
 # time-decayed customer value (integer-exact half-life weighting)
 # ---------------------------------------------------------------------------
@@ -3529,8 +3538,6 @@ SELECT (SELECT count(*) FROM d) AS n_days,
        CAST(dd AS BIGINT) AS max_drawdown_cents
 FROM w WHERE rk = 1
 """
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -3743,39 +3750,6 @@ FROM r GROUP BY custkey ORDER BY custkey
 """
 
 
-WAREHOUSE_QUERIES = {
-    "lineitem_status_pit": (lineitem_status_pit, LINEITEM_STATUS_PIT_SQL),
-    "revenue_time_rollup": (revenue_time_rollup, REVENUE_TIME_ROLLUP_SQL),
-    "events_time_weighted_value": (events_time_weighted_value, EVENTS_TWAV_SQL),
-    "orders_content_checksum": (orders_content_checksum, ORDERS_CONTENT_CHECKSUM_SQL),
-    "benford_digit_audit": (benford_digit_audit, BENFORD_DIGIT_AUDIT_SQL),
-    "orders_checksum_diff": (orders_checksum_diff, ORDERS_CHECKSUM_DIFF_SQL),
-    "events_ohlc_daily": (events_ohlc_daily, EVENTS_OHLC_DAILY_SQL),
-    "events_encoding_stats": (events_encoding_stats, EVENTS_ENCODING_STATS_SQL),
-    "join_cardinality_estimate": (join_cardinality_estimate, JOIN_CARDINALITY_ESTIMATE_SQL),
-    "order_ship_latency_quantiles": (order_ship_latency_quantiles, ORDER_SHIP_LATENCY_SQL),
-    "orders_seasonality_index": (orders_seasonality_index, ORDERS_SEASONALITY_SQL),
-    "gdpr_erasure_report": (gdpr_erasure_report, GDPR_ERASURE_SQL),
-    "customer_spend_trend": (customer_spend_trend, CUSTOMER_SPEND_TREND_SQL),
-    "nation_target_encoding": (nation_target_encoding, NATION_TARGET_ENCODING_SQL),
-    "parts_abc_classification": (parts_abc_classification, PARTS_ABC_SQL),
-    "theil_index_by_nation": (theil_index_by_nation, THEIL_INDEX_SQL),
-    "customer_ltv_triangle": (customer_ltv_triangle, CUSTOMER_LTV_TRIANGLE_SQL),
-    "revenue_share_of_parent": (revenue_share_of_parent, REVENUE_SHARE_OF_PARENT_SQL),
-    "customer_order_regularity": (customer_order_regularity, CUSTOMER_ORDER_REGULARITY_SQL),
-    "customers_with_all_brands": (customers_with_all_brands, CUSTOMERS_WITH_ALL_BRANDS_SQL),
-    "functional_dependency_report": (functional_dependency_report, FUNCTIONAL_DEPENDENCY_SQL),
-    "order_band_transitions": (order_band_transitions, ORDER_BAND_TRANSITIONS_SQL),
-    "pps_sample_orders": (pps_sample_orders, PPS_SAMPLE_ORDERS_SQL),
-    "revenue_lorenz_deciles": (revenue_lorenz_deciles, REVENUE_LORENZ_DECILES_SQL),
-    "orderkey_gap_audit": (orderkey_gap_audit, ORDERKEY_GAP_AUDIT_SQL),
-    "decayed_customer_value": (decayed_customer_value, DECAYED_CUSTOMER_VALUE_SQL),
-    "revenue_max_drawdown": (revenue_max_drawdown, REVENUE_MAX_DRAWDOWN_SQL),
-    "holt_revenue_forecast": (holt_revenue_forecast, HOLT_REVENUE_FORECAST_SQL),
-    "customer_top2_share": (customer_top2_share, CUSTOMER_TOP2_SHARE_SQL),
-}
-
-
 # ---------------------------------------------------------------------------
 # clamped running balance (inventory scan): the canonical NON-associative
 # prefix scan — balance floors at zero, so no prefix-sum trick applies
@@ -3891,8 +3865,3 @@ SELECT event_type, CAST(day_idx AS BIGINT) AS day_idx,
        CAST(bal AS BIGINT) AS balance_cents
 FROM b ORDER BY event_type, day_idx
 """
-
-WAREHOUSE_QUERIES["inventory_balance_by_type"] = (
-    inventory_balance_by_type,
-    INVENTORY_BALANCE_SQL,
-)

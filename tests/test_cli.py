@@ -70,6 +70,30 @@ def test_cli_query_list(ray_session, capsys):
     assert "extract_fused\trows" in out
 
 
+def test_cli_query_list_outside_the_checkout(tmp_path):
+    """``query --list`` works from an installed copy of the package alone:
+    any cwd, and only the package directory on ``PYTHONPATH``."""
+    import os
+    import shutil
+
+    import docling_jobkit_ray
+
+    site = tmp_path / "site"
+    shutil.copytree(
+        os.path.dirname(docling_jobkit_ray.__file__),
+        site / "docling_jobkit_ray",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    env = {**os.environ, "PYTHONPATH": str(site)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "docling_jobkit_ray.cli", "query", "--list"],
+        capture_output=True, text=True, timeout=300, cwd=tmp_path, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    names = [line.split("\t")[0] for line in proc.stdout.splitlines() if "\t" in line]
+    assert len(names) == 343
+
+
 def test_cli_query_runs_pipeline(ray_session, capsys):
     import ray
 

@@ -71,6 +71,49 @@ def test_entry_smoke(entrymod):
     assert "url" in ds.schema().names
 
 
+FIRST_50 = [
+    "q1_pricing_summary", "filter_project_lineitem", "revenue_by_nation",
+    "topk_orders", "events_hourly_window", "events_user_stats",
+    "q6_forecast_revenue", "q3_shipping_priority", "events_asof_login",
+    "events_sessionize", "top_orders_per_customer",
+    "q5_local_supplier_revenue", "events_orders_range_join",
+    "events_value_zscore", "union_order_segments", "customers_without_orders",
+    "order_priority_semi", "q13_customer_distribution", "suppliers_per_part",
+    "orders_price_deciles", "revenue_rollup", "events_attribution",
+    "user_survival_km", "user_event_entropy", "cumulative_unique_users",
+    "events_quota_filter", "user_churn_features", "events_ewma",
+    "orders_cdc_diff", "customer_reorder_intervals", "token_counts",
+    "fingerprints_sha", "doc_stats_by_lang", "normalize_documents",
+    "top_terms", "doc_frequency", "doc_length_percentiles_by_lang",
+    "dedup_exact", "ngram_jaccard_pairs", "dup_components", "decontaminate",
+    "duplicated_passages", "top_bigram_stats", "stratified_sample",
+    "inverted_index_stats", "gopher_quality_docs",
+    "classifier_quality_scores", "knn_exact_ranks", "embedding_assign_seeds",
+    "embedding_near_dup_planted",
+]
+
+
+def test_registry_pinned():
+    """The driver surface, pinned: the names, their order (the driver runs
+    only the first 50), and every oracle SQL text.  A deliberate change to
+    the table updates these pins in the same commit."""
+    import hashlib
+
+    import __ray_entry__
+
+    q = __ray_entry__.queries()
+    o = __ray_entry__.oracle_sql()
+    assert (len(q), len(o)) == (343, 292)
+    assert list(q)[:50] == FIRST_50
+    assert hashlib.sha256("\n".join(q).encode()).hexdigest() == (
+        "78ef97e20f9d2d0211060a957c6e77164e8001bc92b232fafabb1c0f7cf045e3"
+    )
+    oracle_text = "\n".join(f"{k}\t{v}" for k, v in sorted(o.items()))
+    assert hashlib.sha256(oracle_text.encode()).hexdigest() == (
+        "13ddd5407c28d470d86bc8153b405010e56be8c5aa2fc0cc90e9633c63529222"
+    )
+
+
 def test_oracle_keys_subset_of_queries(entrymod):
     q = entrymod.queries()
     o = entrymod.oracle_sql()

@@ -69,6 +69,36 @@ def test_division_members_really_cover_every_brand(ray_session):
     assert set(got["custkey"]) == full
 
 
+def test_division_pulls_no_fact_table_to_driver(ray_session, monkeypatch):
+    """The orders and lineitem fact tables stay distributed: a
+    ``take_all()`` on either one, read by the query, raises.  The result
+    still matches the DuckDB oracle."""
+    import duckdb
+
+    from docling_jobkit_ray.pipelines import warehouse
+
+    real_read_table = warehouse.read_table
+
+    def guarded_read_table(sf_dir, name, *args, **kwargs):
+        ds = real_read_table(sf_dir, name, *args, **kwargs)
+        if name in ("orders", "lineitem"):
+
+            def refuse():
+                raise AssertionError(f"take_all() pulled the {name} fact table")
+
+            ds.take_all = refuse
+        return ds
+
+    monkeypatch.setattr(warehouse, "read_table", guarded_read_table)
+    got = warehouse.customers_with_all_brands(SF).to_pandas()
+    con = duckdb.connect()
+    for t in ("lineitem", "part", "orders"):
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')")
+    want = con.execute(warehouse.CUSTOMERS_WITH_ALL_BRANDS_SQL).fetchall()
+    assert len(want) > 0
+    assert list(zip(got["custkey"], got["n_brands"])) == want
+
+
 def test_rbo_bounds_and_self_similarity(ray_session):
     from docling_jobkit_ray.functions.index import _RBO_W, ranking_overlap_rbo
 

@@ -1,7 +1,8 @@
 """Driver-tier preflight: replicate the harness's correctness gate locally
-— run the FIRST 50 queries() entries at sf0.01; for SQL-backed ones compare
-row count, column names, and order-insensitive values against DuckDB (the
-same comparison the driver hashes).  Run before shipping a round."""
+— run the first DRIVER_CAP (50) queries() entries at sf0.01; for SQL-backed
+ones compare row count, column names, and order-insensitive values against
+DuckDB (the same comparison the driver hashes).  Run before shipping a
+round."""
 
 from __future__ import annotations
 
@@ -52,10 +53,11 @@ def main() -> int:
     import ray.data as rd
 
     import __ray_entry__ as entry
+    from docling_jobkit_ray.queries import DRIVER_CAP
 
     qs = entry.queries()
     oracles = entry.oracle_sql()
-    cap = list(qs)[:50]
+    cap = list(qs)[:DRIVER_CAP]
     failures = []
     for name in cap:
         try:
