@@ -1,12 +1,17 @@
 """Deterministic HTML main-content extraction (Readability/jusText-style).
 
-Pure Python + stdlib; no Ray, no external deps.  This is the single code path
-shared by the single-process oracle and the Ray pipeline, so per-url
-byte-identity of ``text`` holds by construction (SURVEY.md §7.3).
+No Ray, no external deps.  ``extract_html`` is the single code path shared
+by the single-process oracle and the Ray pipeline, so per-url byte-identity
+of ``text`` holds by construction (SURVEY.md §7.3).
 
-The kernel is one ``re.split`` that tokenizes a document in C, then one loop
-running the block state machine over the tokens.  A second tokenizer, the
-stdlib ``HTMLParser``, feeds the same machine as a cross-check.
+``extract_html`` dispatches to the C kernel ``_htmlkernel.c`` when it built
+(``_native.py`` compiles it at first import; it needs gcc and Python.h), and
+otherwise runs the Python code in this file, which is the kernel's
+executable spec: one ``re.split`` that tokenizes a document in C, one loop
+running the block state machine over the tokens, then ``classify_blocks``
+and ``assemble``.  A second tokenizer, the stdlib ``HTMLParser``, feeds the
+same machine as a cross-check.  tests/test_native_kernel.py holds the kernel
+to the spec byte for byte.
 
 Semantics preserved from the reference's per-document convert shape
 (``/root/reference/docling_jobkit/datamodel/exportable_document.py:53-122``):
@@ -28,9 +33,14 @@ collapsed to single spaces, blocks joined with "\\n\\n", char offsets.
 from __future__ import annotations
 
 import re
+import threading
+import warnings
 from dataclasses import dataclass, field
 from html import unescape as _unescape
 from html.parser import HTMLParser
+
+from ._native import load as load_native
+from .errors import DocumentTimeoutError
 
 # Block kinds (FIXTURES.md §3 span kinds).
 KIND_PARAGRAPH = "paragraph"
@@ -138,7 +148,7 @@ _TOKEN_RE = re.compile(
     rf"\s*(?=([a-zA-Z]+))(?:{'|'.join(_rawtext_alternative(t) for t in _RAWTEXT_TAGS)})"
     r"|!--(?:.*?-->|.*)"
     r"|[!?][^>]*>?"
-    rf"|(/?)\s*([a-zA-Z][{_NAME_CHARS}]*)([^>]*)>"
+    rf"|(/?)\s*([a-zA-Z][{_NAME_CHARS}]*)(?![{_NAME_CHARS}])([^>]*)>"
     r"|/?\s*[a-zA-Z].*"
     r"|()"
     ")",
@@ -361,13 +371,70 @@ def assemble(blocks: list[Block]) -> ExtractedDoc:
     )
 
 
+# ---------------------------------------------------------------------------
+# the dispatcher: the C kernel when it built, else the Python spec above
+# ---------------------------------------------------------------------------
+
+# ``at``: the time.monotonic() deadline of the document this thread is
+# extracting, published by record.document_deadline.  The kernel holds the
+# GIL, so the watchdog's async exception cannot land inside it; it polls
+# this deadline instead.
+deadline = threading.local()
+
+_native = load_native()
+if _native is not None:
+    _native.setup(
+        _TAG_FLAGS, _RAWTEXT_TAGS,
+        KIND_PARAGRAPH, KIND_HEADING, KIND_LIST_ITEM, KIND_TABLE, _unescape,
+        # the fixed text around the placeholders of the doc_json formats
+        tuple(re.split("%[ds]", _DOC_JSON_FMT)), tuple(re.split("%[ds]", _SPAN_JSON_FMT)),
+    )
+
+# The layers the kernel stands in for.  A caller that replaces one on this
+# module (a tracer, a fault injector) gets the Python path, so that its
+# replacement sees every document.
+_SPEC_LAYERS = (segment_blocks, classify_blocks, assemble)
+
+
+@dataclass
+class _KernelDoc(ExtractedDoc):
+    """An ExtractedDoc whose doc_json the kernel already serialised."""
+
+    json: str = ""
+
+    def doc_json(self) -> str:
+        return self.json
+
+
 def extract_html(
     html_text: str,
     *,
     max_link_density: float = DEFAULT_MAX_LINK_DENSITY,
     min_paragraph_chars: int = DEFAULT_MIN_PARAGRAPH_CHARS,
 ) -> ExtractedDoc:
-    """Full pipeline for one decoded HTML document. Pure + deterministic."""
+    """Full pipeline for one decoded HTML document. Pure + deterministic.
+
+    Runs the C kernel (``_htmlkernel.c``) when it loaded, else
+    ``segment_blocks`` -> ``classify_blocks`` -> ``assemble``; both give the
+    same bytes (tests/test_native_kernel.py).  The Python path also runs,
+    with a warning, while any of those three is replaced on this module.
+    Raises :class:`DocumentTimeoutError` when the kernel passes this
+    thread's document deadline."""
+    if _native is not None:
+        if (segment_blocks, classify_blocks, assemble) == _SPEC_LAYERS:
+            out = _native.extract(
+                html_text, max_link_density, min_paragraph_chars,
+                getattr(deadline, "at", None),
+            )
+            if out is None:
+                raise DocumentTimeoutError()
+            text, spans, doc_json, n_total, n_kept = out
+            return _KernelDoc(text, spans, n_total, n_kept, doc_json)
+        warnings.warn(
+            "a layer of extract_html is replaced: it runs the Python path, not the C kernel",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     blocks = segment_blocks(html_text)
     classify_blocks(
         blocks,

@@ -32,6 +32,7 @@ from .html import (
     DEFAULT_MAX_LINK_DENSITY,
     DEFAULT_MIN_PARAGRAPH_CHARS,
     KIND_PAGE,
+    deadline as html_deadline,
     extract_html,
 )
 
@@ -115,11 +116,12 @@ class _Watchdog:
     Why not ``signal.alarm``: Ray Data runs ACTOR-pool map UDFs on a
     ``ThreadPoolExecutor`` thread, where signal handlers never fire; the
     async-exception injection works in any thread and has the same
-    interruption power (both only act at Python bytecode boundaries — a
-    single long C-level call is uninterruptible either way, and this
-    engine's parse kernels are Python/regex loops that hit boundaries
-    constantly).  One watchdog thread + a heap serves every concurrent
-    document, so arming costs O(log n), not a thread per row."""
+    interruption power.  Both act only at Python bytecode boundaries, and a
+    single long C-level call is uninterruptible either way: one ``re.split``
+    on the Python path, or the whole native HTML kernel, which therefore
+    checks the deadline itself (:func:`document_deadline` publishes it).
+    One watchdog thread + a heap serves every concurrent document, so
+    arming costs O(log n), not a thread per row."""
 
     def __init__(self) -> None:
         self._cv = threading.Condition()
@@ -199,14 +201,22 @@ def document_deadline(seconds: float | None):
     """Wall-clock guard around one document's parse: raises
     :class:`DocumentTimeoutError` mid-parse when the budget expires.  The
     analogue of the reference's ``document_timeout`` enforcement in the
-    converter call path (config.py:369-371).  ``None``/0 is a no-op."""
+    converter call path (config.py:369-371).  ``None``/0 is a no-op.
+
+    The deadline is also published in ``html.deadline.at`` for this thread
+    (the tighter of it and any outer one, restored on exit): the C kernel
+    holds the GIL, so it polls that deadline itself."""
     if not seconds:
         yield
         return
+    outer = getattr(html_deadline, "at", None)
+    at = time.monotonic() + seconds
+    html_deadline.at = at if outer is None else min(outer, at)
     entry = _WATCHDOG.arm(seconds)
     try:
         yield
     finally:
+        html_deadline.at = outer
         try:
             _WATCHDOG.disarm(entry)
         except DocumentTimeoutError:

@@ -52,6 +52,32 @@ def test_fused_one_task_per_shard_and_empty_input(ray_session, corpus_dir, tmp_p
     assert extract_pipeline(str(empty), mode="sliced").take_all() == []
 
 
+def test_extract_udf_freezes_worker_heap_only(ray_session):
+    """The UDF moves a Ray worker's import-time heap out of the collector's
+    reach, so no task pays a full collection over it; a driver's heap is
+    left alone."""
+    import gc
+
+    import ray
+
+    from docling_jobkit_ray.stages.extract import ExtractDocuments
+
+    frozen = gc.get_freeze_count()
+    ExtractDocuments()
+    assert gc.get_freeze_count() == frozen
+
+    @ray.remote
+    def freeze_count_after_udf() -> int:
+        import gc
+
+        from docling_jobkit_ray.stages.extract import ExtractDocuments
+
+        ExtractDocuments()
+        return gc.get_freeze_count()
+
+    assert ray.get(freeze_count_after_udf.remote()) > 1000
+
+
 def test_spans_slice_validly(ray_session, corpus_dir):
     ds = successes(extract_pipeline(corpus_dir, concurrency=(1, 2)))
     for row in ds.take(50):
