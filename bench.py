@@ -89,9 +89,6 @@ def run_bench() -> dict:
     from docling_jobkit_ray.stages.chunking import chunk_pipeline
 
     results: dict[str, float] = {}
-    pool = (1, max(2, NUM_CPUS - 2))
-
-    nblocks = NUM_CPUS * 4
 
     # untimed warmup: spawn worker processes + import modules once so the
     # timed runs measure steady-state compute, not interpreter startup
@@ -128,16 +125,7 @@ def run_bench() -> dict:
         }
 
     t0 = time.monotonic()
-    extract_pipeline(
-        corpus, mode="inline", batch_size=64, override_num_blocks=nblocks,
-    ).count()  # chained plan, instance-closure task pool (see _actor_map)
-    results["extract_inline"] = round(time.monotonic() - t0, 3)
-
-    t0 = time.monotonic()
-    extract_pipeline(
-        corpus, mode="sliced", concurrency=pool, batch_size=64,
-        override_num_blocks=nblocks,
-    ).count()
+    extract_pipeline(corpus, mode="sliced").count()
     results["extract_sliced"] = round(time.monotonic() - t0, 3)
 
     t0 = time.monotonic()

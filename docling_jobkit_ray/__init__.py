@@ -11,7 +11,7 @@ Public surface:
 - :mod:`docling_jobkit_ray.extract` — pure deterministic extraction library
   (HTML boilerplate strip, binary layout parse, error taxonomy).  The oracle.
 - :mod:`docling_jobkit_ray.pipelines.extract` — the flagship pipeline
-  (fused / inline / sliced / size_bucketed modes, dead-letter view).
+  (fused / sliced plans, dead-letter view).
 - :mod:`docling_jobkit_ray.state.checkpoint` — resumable shard-by-shard runs
   with manifest lineage + counters.
 - :mod:`docling_jobkit_ray.stages` — extraction / slice-fanout / chunking /

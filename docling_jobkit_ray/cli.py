@@ -99,15 +99,23 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument(
         "--mode",
         default="fused",
-        choices=["fused", "inline", "sliced", "size_bucketed"],
+        choices=["fused", "sliced"],
     )
     p.add_argument("--num-cpus", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument(
+        "--batch-size",
+        type=int,
+        default=64,
+        help="rows per batch of the vlm describe stage, and page slices "
+        "(at least 256) per batch of sliced mode's slice extract; the "
+        "checkpointed fused run does not use it",
+    )
     p.add_argument(
         "--concurrency",
         type=int,
         default=None,
-        help="actor-pool size; omit for the (faster) instance task pool",
+        help="max actor-pool size of the vlm describe stage (default 4); "
+        "the checkpointed fused run describes inside each shard task instead",
     )
     p.add_argument("--max-bytes", type=int, default=None)
     p.add_argument(

@@ -5,26 +5,17 @@ Ray-Data-native replacement for the reference's whole orchestration stack
 the streaming executor provides the drain loop, backpressure and retries; the
 pipeline is just Dataset transforms (SURVEY.md §3.4).
 
-Four modes:
+Two plans:
 
-- ``fused`` (the CLI default and the headline plan): one task reads one
-  shard and extracts it, with no intermediate blocks between read and
-  parse.  Measured ~2x the chained read->map plan; checkpointed runs use
-  the same per-shard plan.
-- ``inline`` (the ``extract_pipeline`` default, mirrors the reference default
-  ``enable_pdf_page_slice_fanout=False``, ``orchestrators/ray/config.py:238-246``):
-  one actor-pool ``map_batches`` pass, no shuffle.  Ray's dynamic block
-  splitting + streaming backpressure absorb per-document cost variance.
+- ``fused`` (the default): one task reads one shard and extracts it, with
+  no intermediate blocks between read and parse.  Checkpointed runs use
+  the same per-shard task.
 - ``sliced``: oversized binary docs fan out into page slices
   (``flat_map``-style plan), are extracted in parallel and reassembled by
   ``groupby("url").map_groups`` — the reference's slice fan-out
   (``serve_deployment.py:437-464,510-549``) as a shuffle keyed on url.
   The big-binary filter re-reads the input; it is cheap (header-only
   inspection) and only pays off when oversized docs dominate wall time.
-- ``size_bucketed``: rows are routed into a small-row branch (large batches)
-  and a big-row branch (small batches, more CPU per task) before the heavy
-  parse — the north rule's size-class bucketing.  Avoids one multi-MB row
-  serializing a whole large batch behind one task.
 """
 
 from __future__ import annotations
@@ -35,7 +26,7 @@ import ray.data
 
 from ..extract.errors import STATUS_FAILURE
 from ..extract.record import ExtractOptions
-from ..sources.pages import read_pages, shard_items, shard_paths
+from ..sources.pages import read_shard, shard_items, shard_paths
 from ..stages.extract import ExtractDocuments, options_to_kwargs
 from ..stages.slices import (
     ExtractSlices,
@@ -47,31 +38,6 @@ from ..stages.slices import (
 )
 
 DEFAULT_BATCH_SIZE = 64
-BIG_ROW_BYTES = 1 * 1024 * 1024  # rows above this go to the big-row branch
-
-
-def _actor_map(ds: ray.data.Dataset, options: ExtractOptions, *, batch_size: int, concurrency) -> ray.data.Dataset:
-    if concurrency is None:
-        # ExtractDocuments state is just compiled options — cheap — so the
-        # default is an instance-closure TASK pool, which schedules far
-        # better than an actor pool behind a fast read (measured 2.6 s vs
-        # 11.6 s on sf0.1/32cpu for the chained plan).  Pass concurrency=
-        # to get a warm actor pool (the shape a real model-loading
-        # converter needs, and what the reference's replicas are).
-        return ds.map_batches(
-            ExtractDocuments(options_to_kwargs(options)),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=batch_size,
-        )
-    return ds.map_batches(
-        ExtractDocuments,
-        fn_constructor_kwargs={"options": options_to_kwargs(options)},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
 
 
 def extract_pipeline(
@@ -79,12 +45,11 @@ def extract_pipeline(
     *,
     options: ExtractOptions | None = None,
     preset: str | None = None,
-    mode: str = "inline",
+    mode: str = "fused",
     pipeline: str = "standard",
     vlm_preset: str = "default",
     batch_size: int = DEFAULT_BATCH_SIZE,
     concurrency=None,
-    override_num_blocks: int | None = None,
 ) -> ray.data.Dataset:
     """Build (lazily) the extracted dataset for a pages corpus.
 
@@ -93,6 +58,8 @@ def extract_pipeline(
     selects the family — "standard", or "vlm" which appends the warm-model
     description stage (stages/vlm.py), mirroring the reference's
     STANDARD-vs-VLM pipeline selection (convert/manager.py:1704-1721).
+    ``concurrency`` sizes that stage's actor pool; ``batch_size`` its
+    batches and the sliced plan's slice batches.
 
     Returns the combined output (SUCCESS/PARTIAL_SUCCESS/FAILURE rows in one
     dataset, EXTRACTED_SCHEMA; + ``vlm_json`` for the vlm family); use
@@ -125,56 +92,22 @@ def extract_pipeline(
             )
         return ds
 
-    read_kwargs = (
-        {"override_num_blocks": override_num_blocks} if override_num_blocks else {}
-    )
-    if mode == "inline":
-        ds = read_pages(input_path, **read_kwargs)
-        return _family(_actor_map(ds, options, batch_size=batch_size, concurrency=concurrency))
-
     if mode == "fused":
         # One task = read one shard + extract it (read fused into the heavy
-        # map by hand).  Measured ~2x the chained ReadParquet->MapBatches
-        # plan on this workload: no intermediate block materialization, no
+        # map by hand): no intermediate block materialization, no
         # cross-operator backpressure, and the shard is the natural work
         # unit for checkpointing anyway.  Dataset-of-paths -> map_batches is
         # the documented Ray Data pattern for custom-read workloads.
-        import pyarrow.parquet as _pq
-
         paths = shard_paths(input_path)
         opts_kwargs = options_to_kwargs(options)
 
         def read_and_extract(batch) -> pa.Table:
             udf = ExtractDocuments(opts_kwargs)
-            out = []
-            for p in batch["path"]:
-                t = _pq.read_table(str(p), columns=["url", "html"])
-                t = t.append_column(
-                    "path", pa.array([str(p)] * t.num_rows, pa.string())
-                )
-                out.append(udf(t))
-            return pa.concat_tables(out)
+            return pa.concat_tables([udf(read_shard(str(p))) for p in batch["path"]])
 
         return _family(
             shard_items(paths).map_batches(read_and_extract, batch_size=1, batch_format="numpy")
         )
-
-    if mode == "size_bucketed":
-        # Size-class routing: cheap vectorized split on binary_length, then
-        # per-class batch sizing (north rule's groupby-on-size-class, done as
-        # two filtered branches + union — cheaper than a true shuffle since
-        # extraction is per-row and needs no co-location).
-        def _small(batch: pa.Table) -> pa.Table:
-            return batch.filter(pc.less_equal(pc.binary_length(batch["html"]), BIG_ROW_BYTES))
-
-        def _big(batch: pa.Table) -> pa.Table:
-            return batch.filter(pc.greater(pc.binary_length(batch["html"]), BIG_ROW_BYTES))
-
-        small = read_pages(input_path, **read_kwargs).map_batches(_small, batch_format="pyarrow", zero_copy_batch=True)
-        big = read_pages(input_path, **read_kwargs).map_batches(_big, batch_format="pyarrow", zero_copy_batch=True)
-        small_out = _actor_map(small, options, batch_size=batch_size, concurrency=concurrency)
-        big_out = _actor_map(big, options, batch_size=4, concurrency=concurrency)
-        return _family(small_out.union(big_out))
 
     if mode == "sliced":
         slice_pages = options.slice_pages
@@ -186,9 +119,7 @@ def extract_pipeline(
         # header slice decide the split with zero full-payload copies, and
         # only the claimed-big minority is structurally parsed.  Docs over
         # max_pages/max_bytes route to the rest branch so admission
-        # preflight emits the same FAILURE rows as the other modes.
-        import pyarrow.parquet as _pq
-
+        # preflight emits the same FAILURE rows as the fused plan.
         paths = shard_paths(input_path)
         opts_kwargs = options_to_kwargs(options)
         caps = {
@@ -201,13 +132,7 @@ def extract_pipeline(
         _plan = plan_slices(slice_pages, page_range=options.page_range)
 
         def _read_shards(batch) -> pa.Table:
-            out = []
-            for p in batch["path"]:
-                t = _pq.read_table(str(p), columns=["url", "html"])
-                out.append(
-                    t.append_column("path", pa.array([str(p)] * t.num_rows, pa.string()))
-                )
-            return pa.concat_tables(out)
+            return pa.concat_tables([read_shard(str(p)) for p in batch["path"]])
 
         # Branch 1: everything except oversized binaries — read+filter+extract
         # fused into one task per shard.
@@ -347,18 +272,13 @@ def extract_ab_compare(
 
     The audit a platform runs before switching presets: how many documents
     change status, and how many produce different text."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
     from ray.data.aggregate import Sum
 
     from ..extract.presets import get_preset
     from ..extract.record import extract_record
-    import pyarrow.parquet as _pq
 
     opt_a, opt_b = get_preset(preset_a), get_preset(preset_b)
-    # fused shard plan (the headline-mode trick): one task = read one shard
-    # + extract it TWICE — the chained read->map plan measured ~2x slower
-    # on exactly this workload (CLAUDE.md fused rule)
+    # fused shard plan: one task = read one shard + extract it TWICE
     paths = shard_paths(input_path)
 
     out_schema = pa.schema(
@@ -373,7 +293,7 @@ def extract_ab_compare(
     def fn(batch) -> pa.Table:
         sa, sb, eq = [], [], []
         for p in batch["path"]:
-            t = _pq.read_table(str(p), columns=["url", "html"])
+            t = read_shard(str(p))
             for url, html in zip(t["url"].to_pylist(), t["html"].to_pylist()):
                 data = (
                     html if isinstance(html, (bytes, bytearray)) else str(html).encode()

@@ -660,9 +660,7 @@ QUERY_TABLE: list[tuple[str, Callable[[str], Any], str | None]] = [
     ("embedding_lsh_buckets", dedup.embedding_lsh_buckets, None),
     ("url_canonical_dups", _url_canonical_dups, None),
     ("strip_duplicated_passages", _strip_duplicated_passages, None),
-    ("extract_inline", _extract_query("inline"), None),
     ("extract_sliced", _extract_query("sliced"), None),
-    ("extract_size_bucketed", _extract_query("size_bucketed"), None),
     ("bigram_fluency_scores", webtext.bigram_fluency_scores, webtext.BIGRAM_FLUENCY_SQL),
     ("kwic_concordance", webtext.kwic_concordance, webtext.kwic_concordance_sql()),
     ("balanced_eval_sample", webtext.balanced_eval_sample, webtext.balanced_eval_sample_sql()),

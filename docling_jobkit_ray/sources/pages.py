@@ -1,11 +1,11 @@
-"""Pages-table source: column-pruned Parquet read.
+"""Pages-table source: column-pruned Parquet reads.
 
 Replaces the reference's source-connector listing/fetch machinery
-(``/root/reference/docling_jobkit/connectors/source_processor.py:49-198``)
-with ``ray.data.read_parquet`` — Ray's read tasks ARE the listing + chunking
-(one `DocumentChunk` == one block).  ``include_paths=True`` attaches the
-input shard path per row, the lineage key for the dead-letter dataset and
-checkpoint manifest (SURVEY.md §4.2 resume).
+(reference ``docling_jobkit/connectors/source_processor.py:49-198``).
+Extraction plans list the shards with :func:`shard_paths`, run one task per
+shard over :func:`shard_items` and read the shard inside the task with
+:func:`read_shard`, which attaches the shard path per row: the lineage key
+for the dead-letter dataset and checkpoint manifest (SURVEY.md §4.2 resume).
 """
 
 from __future__ import annotations
@@ -13,17 +13,26 @@ from __future__ import annotations
 import glob
 import os
 
+import pyarrow as pa
+import pyarrow.parquet as pq
 import ray.data
+
+
+def _absolute(path: str) -> str:
+    """A local path made absolute, so lineage ids do not depend on the
+    working directory; a URI (``scheme://...``) is kept as given."""
+    return path if "://" in path else os.path.abspath(path)
 
 
 def shard_paths(input_path: str | list[str]) -> list[str]:
     """The parquet shards behind ``input_path``: a directory's ``*.parquet``
-    files in name order, a single file, or a list of files as given."""
+    files in name order, a single file, or a list of files as given.  Local
+    paths come back absolute."""
     if not isinstance(input_path, str):
-        return list(input_path)
+        return [_absolute(p) for p in input_path]
     if os.path.isdir(input_path):
-        return sorted(glob.glob(os.path.join(input_path, "*.parquet")))
-    return [input_path]
+        return sorted(glob.glob(os.path.join(os.path.abspath(input_path), "*.parquet")))
+    return [_absolute(input_path)]
 
 
 def shard_items(paths: list[str]) -> ray.data.Dataset:
@@ -33,6 +42,13 @@ def shard_items(paths: list[str]) -> ray.data.Dataset:
     return ray.data.from_items(
         [{"path": p} for p in paths], override_num_blocks=max(len(paths), 1)
     )
+
+
+def read_shard(path: str) -> pa.Table:
+    """One shard's (url, html) columns plus its ``path`` on every row —
+    the only columns extraction reads."""
+    t = pq.read_table(path, columns=["url", "html"])
+    return t.append_column("path", pa.array([path] * t.num_rows, pa.string()))
 
 
 def read_pages(
@@ -87,7 +103,6 @@ def latest_snapshot_per_url(
     exact snapshot dedup)."""
     import numpy as np
     import pandas as pd
-    import pyarrow as pa
     import pyarrow.compute as pc
 
     from ..scale import bucket_count
@@ -148,7 +163,6 @@ def page_metadata(path: str | ray.data.Dataset) -> ray.data.Dataset:
     ``pc.extract_regex`` each (RE2, first match); link counts are one
     ``count_substring_regex``.  Non-HTML payloads keep their row with
     null metadata, so the output is a full census of the corpus."""
-    import pyarrow as pa
     import pyarrow.compute as pc
 
     ds = read_pages(path, columns=["url", "html"]) if isinstance(path, str) else path

@@ -27,11 +27,15 @@ import json
 import os
 import time
 
+import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
+from ..extract.errors import STATUS_FAILURE
 from ..extract.record import ExtractOptions
 from ..pipelines.extract import extract_pipeline
-from ..sources.pages import shard_items, shard_paths
+from ..sources.pages import read_shard, shard_items, shard_paths
+from ..stages.extract import EXTRACTED_SCHEMA, ExtractDocuments, options_to_kwargs
 from .commit import atomic_write, staged_dir
 
 
@@ -65,19 +69,15 @@ def _check_pipeline_consistent(done: dict, pipeline: str, out_dir: str) -> None:
     its partition.  Fail loudly instead.  Manifests written before pipeline
     tracking are classified from the partition's actual parquet schema
     (vlm_json column present => vlm), not assumed standard."""
-    import glob as _glob
-
-    import pyarrow.parquet as _pq
-
     for rec in done.values():
         rec_pipeline = rec.get("pipeline")
         if rec_pipeline is None:  # legacy manifest: infer from the output
-            part_files = _glob.glob(
+            part_files = glob.glob(
                 os.path.join(out_dir, rec["output_dir"], "*.parquet")
             )
             if not part_files:
                 continue  # partition gone; shard will be re-done anyway
-            names = _pq.read_schema(part_files[0]).names
+            names = pq.read_schema(part_files[0]).names
             rec_pipeline = "vlm" if "vlm_json" in names else "standard"
         if rec_pipeline != pipeline:
             raise ValueError(
@@ -99,10 +99,40 @@ def _totals(n_shards: int, n_skipped: int, done: dict) -> dict:
     }
 
 
-def _write_manifest(out_dir: str, rec: dict) -> None:
+def _shard_record(shard_path: str, out: pa.Table, t0: float) -> dict:
+    """One shard's manifest counters, from its extracted output (in memory
+    or read back from the local partition) and its start time."""
+    return {
+        "shard_key": _shard_key(shard_path),
+        "shard_path": shard_path,
+        "docs": out.num_rows,
+        "parse_failures": int(pc.sum(pc.equal(out["status"], STATUS_FAILURE)).as_py() or 0),
+        "chars_out": int(pc.sum(out["n_chars"]).as_py() or 0),
+        "input_bytes": os.path.getsize(shard_path),
+        "wall_sec": round(time.monotonic() - t0, 3),
+    }
+
+
+_RECORD_SCHEMA = pa.schema(
+    [
+        ("shard_key", pa.string()),
+        ("shard_path", pa.string()),
+        ("docs", pa.int64()),
+        ("parse_failures", pa.int64()),
+        ("chars_out", pa.int64()),
+        ("input_bytes", pa.int64()),
+        ("wall_sec", pa.float64()),
+    ]
+)
+
+
+def _commit_record(out_dir: str, row: dict, *, mode: str, pipeline: str) -> dict:
+    """Write one shard's manifest record — the shard's commit point."""
+    rec = {**row, "output_dir": f"part-{row['shard_key']}", "mode": mode, "pipeline": pipeline}
     mdir = os.path.join(out_dir, "_manifest")
     os.makedirs(mdir, exist_ok=True)
     atomic_write(os.path.join(mdir, f"{rec['shard_key']}.json"), json.dumps(rec, sort_keys=True))
+    return rec
 
 
 def run_extract_checkpointed_fused(
@@ -130,12 +160,6 @@ def run_extract_checkpointed_fused(
     completed shard — the analogue of the reference's DocumentCompleted
     progress callbacks (orchestrators/callback_invoker.py:19-110).
     """
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from ..stages.extract import ExtractDocuments
-    from ..stages.extract import options_to_kwargs as _otk
-
     from ..stages.vlm import PIPELINES, get_describe_udf
 
     if pipeline not in PIPELINES:
@@ -146,46 +170,26 @@ def run_extract_checkpointed_fused(
     _check_pipeline_consistent(done, pipeline, out_dir)
     shards = shard_paths(input_dir)
     pending = [s for s in shards if _shard_key(s) not in done]
-    opts_kwargs = _otk(options)
+    opts_kwargs = options_to_kwargs(options)
     abs_out = os.path.abspath(out_dir)
     vlm = pipeline == "vlm"
 
-    def process_shard(batch) -> "pa.Table":
+    def process_shard(batch) -> pa.Table:
         udf = ExtractDocuments(opts_kwargs)
         # per-worker-cached model: loads once per worker process, not per
         # shard task (the task-pool substitute for actor __init__ state)
         describe = get_describe_udf() if vlm else None
-        recs = {k: [] for k in ("shard_key", "shard_path", "docs", "parse_failures", "chars_out", "input_bytes", "wall_sec")}
+        recs = []
         for p in batch["path"]:
             p = str(p)
-            key = _shard_key(p)
             t0 = time.monotonic()
-            t = pq.read_table(p, columns=["url", "html"])
-            t = t.append_column("path", pa.array([p] * t.num_rows, pa.string()))
-            out = udf(t)
+            out = udf(read_shard(p))
             if describe is not None:  # vlm family: enrich in the same task
                 out = describe(out)
-            with _staged_partition(abs_out, key) as st:
+            with _staged_partition(abs_out, _shard_key(p)) as st:
                 pq.write_table(out, os.path.join(st.path, "data.parquet"))
-            status = out.column("status").to_pylist()
-            recs["shard_key"].append(key)
-            recs["shard_path"].append(p)
-            recs["docs"].append(out.num_rows)
-            recs["parse_failures"].append(sum(1 for s in status if s == "FAILURE"))
-            recs["chars_out"].append(int(pc.sum(out["n_chars"]).as_py() or 0))
-            recs["input_bytes"].append(os.path.getsize(p))
-            recs["wall_sec"].append(round(time.monotonic() - t0, 3))
-        return pa.table(
-            {
-                "shard_key": pa.array(recs["shard_key"], pa.string()),
-                "shard_path": pa.array(recs["shard_path"], pa.string()),
-                "docs": pa.array(recs["docs"], pa.int64()),
-                "parse_failures": pa.array(recs["parse_failures"], pa.int64()),
-                "chars_out": pa.array(recs["chars_out"], pa.int64()),
-                "input_bytes": pa.array(recs["input_bytes"], pa.int64()),
-                "wall_sec": pa.array(recs["wall_sec"], pa.float64()),
-            }
-        )
+            recs.append(_shard_record(p, out, t0))
+        return pa.Table.from_pylist(recs, schema=_RECORD_SCHEMA)
 
     if pending:
         manifest_rows = shard_items(pending).map_batches(
@@ -193,13 +197,7 @@ def run_extract_checkpointed_fused(
         ).take_all()
         # driver is the single manifest writer (commit point)
         for row in manifest_rows:
-            rec = {
-                **row,
-                "output_dir": f"part-{row['shard_key']}",
-                "mode": "fused",
-                "pipeline": pipeline,
-            }
-            _write_manifest(out_dir, rec)
+            rec = _commit_record(out_dir, row, mode="fused", pipeline=pipeline)
             done[rec["shard_key"]] = rec
             if progress_callback is not None:
                 progress_callback(rec)
@@ -212,17 +210,17 @@ def run_extract_checkpointed(
     out_dir: str,
     *,
     options: ExtractOptions | None = None,
-    mode: str = "inline",
+    mode: str = "fused",
     pipeline: str = "standard",
     concurrency=None,
     batch_size: int = 64,
 ) -> dict:
     """Run the extraction pipeline shard-by-shard with resume.
 
-    For mode='fused' this delegates to :func:`run_extract_checkpointed_fused`
-    (one Dataset execution for ALL pending shards — the scale path); other
-    modes run one pipeline per shard (useful when a shard itself is huge and
-    needs the sliced/size_bucketed plan inside).
+    mode='fused' delegates to :func:`run_extract_checkpointed_fused` (one
+    Dataset execution for ALL pending shards — the scale path);
+    mode='sliced' runs one sliced pipeline per shard, for shards whose
+    oversized binary docs need the slice fan-out inside.
 
     Returns run-level metrics (aggregated over manifests, including shards
     completed by PREVIOUS runs — the metrics are durable, not in-memory,
@@ -255,39 +253,11 @@ def run_extract_checkpointed(
         )
         with _staged_partition(out_dir, key) as st:
             ds.write_parquet(st.path)
-            # counters from the just-written partition (cheap: local parquet)
-            import ray.data
-
-            out_ds = ray.data.read_parquet(st.path, columns=["status", "n_chars"])
-
-            def _partial_counts(t):
-                import pyarrow as pa
-
-                return pa.table(
-                    {
-                        "docs": [t.num_rows],
-                        "parse_failures": [
-                            pc.sum(pc.cast(pc.equal(t["status"], "FAILURE"), "int64")).as_py() or 0
-                        ],
-                        "chars_out": [pc.sum(t["n_chars"]).as_py() or 0],
-                    }
-                )
-
-            agg = out_ds.map_batches(_partial_counts, batch_format="pyarrow").to_pandas()
-        in_bytes = os.path.getsize(shard)
-        rec = {
-            "shard_key": key,
-            "shard_path": shard,
-            "output_dir": f"part-{key}",
-            "docs": int(agg["docs"].sum()),
-            "parse_failures": int(agg["parse_failures"].sum()),
-            "chars_out": int(agg["chars_out"].sum()),
-            "input_bytes": in_bytes,
-            "wall_sec": round(time.monotonic() - t0, 3),
-            "mode": mode,
-            "pipeline": pipeline,
-        }
-        _write_manifest(out_dir, rec)
-        done[key] = rec
+            # counters from the just-written partition (cheap: local parquet;
+            # the schema covers an empty shard, which writes no file)
+            out = pq.read_table(st.path, columns=["status", "n_chars"], schema=EXTRACTED_SCHEMA)
+        done[key] = _commit_record(
+            out_dir, _shard_record(shard, out, t0), mode=mode, pipeline=pipeline
+        )
 
     return _totals(len(shards), n_skipped, done)

@@ -2,28 +2,33 @@
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 
+import pytest
 import ray.data
 
 
-def test_checkpointed_run_and_resume(ray_session, corpus_dir, corpus_oracle, tmp_path):
+@pytest.mark.parametrize("mode", ["fused", "sliced"])
+def test_checkpointed_run_and_resume(ray_session, corpus_dir, corpus_oracle, tmp_path, mode):
+    """Both runners build the same manifest records: the totals equal the
+    oracle's counts in either mode."""
     from docling_jobkit_ray.state.checkpoint import (
         completed_shards,
         run_extract_checkpointed,
     )
 
     out = str(tmp_path / "out")
-    totals = run_extract_checkpointed(corpus_dir, out, concurrency=(1, 2))
-    assert totals["shards_total"] == 3
-    assert totals["shards_skipped_resume"] == 0
-    assert totals["docs"] == len(corpus_oracle)
-    expected_failures = sum(
-        1 for r in corpus_oracle.values() if r["status"] == "FAILURE"
-    )
-    assert totals["parse_failures"] == expected_failures
-    assert totals["input_bytes"] > 0
+    totals = run_extract_checkpointed(corpus_dir, out, mode=mode)
+    assert totals == {
+        "shards_total": 3,
+        "shards_skipped_resume": 0,
+        "docs": len(corpus_oracle),
+        "parse_failures": sum(1 for r in corpus_oracle.values() if r["status"] == "FAILURE"),
+        "input_bytes": sum(os.path.getsize(p) for p in glob.glob(f"{corpus_dir}/*.parquet")),
+        "chars_out": sum(r["n_chars"] for r in corpus_oracle.values()),
+    }
 
     # manifest records exist per shard, with lineage + counters
     done = completed_shards(out)
@@ -31,10 +36,9 @@ def test_checkpointed_run_and_resume(ray_session, corpus_dir, corpus_oracle, tmp
     for rec in done.values():
         assert os.path.isdir(os.path.join(out, rec["output_dir"]))
         assert rec["docs"] > 0 and "wall_sec" in rec and rec["shard_path"]
+        assert rec["mode"] == mode
 
     # output content matches the oracle (read back everything)
-    import glob
-
     parts = sorted(glob.glob(os.path.join(out, "part-*", "*.parquet")))
     ds = ray.data.read_parquet(parts)
     got = {r["url"]: r for r in ds.take_all()}
@@ -46,14 +50,30 @@ def test_checkpointed_run_and_resume(ray_session, corpus_dir, corpus_oracle, tmp
     mdir = os.path.join(out, "_manifest")
     victim = sorted(os.listdir(mdir))[0]
     os.remove(os.path.join(mdir, victim))
-    totals2 = run_extract_checkpointed(corpus_dir, out, concurrency=(1, 2))
+    totals2 = run_extract_checkpointed(corpus_dir, out, mode=mode)
     assert totals2["shards_skipped_resume"] == 2
     assert totals2["docs"] == totals["docs"]  # durable counters re-aggregate
 
     # rerun with everything done: nothing executes, totals stable
-    totals3 = run_extract_checkpointed(corpus_dir, out, concurrency=(1, 2))
+    totals3 = run_extract_checkpointed(corpus_dir, out, mode=mode)
     assert totals3["shards_skipped_resume"] == 3
     assert totals3 == {**totals2, "shards_skipped_resume": 3}
+
+
+@pytest.mark.parametrize("mode", ["fused", "sliced"])
+def test_checkpointed_empty_shard(ray_session, tmp_path, mode):
+    """A shard with no rows commits a zero-count record in either runner."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from docling_jobkit_ray.state.checkpoint import run_extract_checkpointed
+
+    src = tmp_path / "in"
+    src.mkdir()
+    empty = pa.table({"url": pa.array([], pa.string()), "html": pa.array([], pa.binary())})
+    pq.write_table(empty, str(src / "pages-0.parquet"))
+    totals = run_extract_checkpointed(str(src), str(tmp_path / "out"), mode=mode)
+    assert (totals["shards_total"], totals["docs"], totals["chars_out"]) == (1, 0, 0)
 
 
 def test_manifest_atomicity_no_tmp_leftover(ray_session, corpus_dir, tmp_path):
@@ -70,8 +90,6 @@ def test_manifest_atomicity_no_tmp_leftover(ray_session, corpus_dir, tmp_path):
 
 
 def test_checkpointed_fused_matches_oracle(ray_session, corpus_dir, corpus_oracle, tmp_path):
-    import glob
-
     from docling_jobkit_ray.state.checkpoint import run_extract_checkpointed
 
     out = str(tmp_path / "fused_out")
@@ -99,8 +117,6 @@ def test_crash_between_publish_and_manifest_redoes_shard(
     """The manifest is the commit point: a part-* dir that was renamed into
     place but whose manifest record never landed (crash window) must be
     re-done and OVERWRITTEN on the next run."""
-    import glob
-
     from docling_jobkit_ray.state.checkpoint import run_extract_checkpointed
 
     out = str(tmp_path / "out")
@@ -128,8 +144,6 @@ def test_crash_between_publish_and_manifest_redoes_shard(
 def test_resume_refuses_pipeline_mismatch(ray_session, corpus_dir, tmp_path):
     """A shard completed under pipeline=standard must not be silently
     skipped by a vlm resume (the partition would lack vlm_json)."""
-    import pytest
-
     from docling_jobkit_ray.state.checkpoint import run_extract_checkpointed
 
     out = str(tmp_path / "out")
@@ -145,8 +159,6 @@ def test_resume_infers_pipeline_from_legacy_manifest(ray_session, corpus_dir, tm
     """Manifests written before pipeline tracking: the family is inferred
     from the partition schema, so a legacy vlm dir refuses a standard
     resume (and vice versa) instead of silently mixing schemas."""
-    import pytest
-
     from docling_jobkit_ray.state.checkpoint import run_extract_checkpointed
 
     out = str(tmp_path / "legacy")

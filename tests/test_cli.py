@@ -91,7 +91,7 @@ def test_cli_query_list_outside_the_checkout(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     names = [line.split("\t")[0] for line in proc.stdout.splitlines() if "\t" in line]
-    assert len(names) == 343
+    assert len(names) == 341
 
 
 def test_cli_query_runs_pipeline(ray_session, capsys):

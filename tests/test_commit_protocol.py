@@ -241,7 +241,7 @@ class Checkpoint:
     ``_manifest/`` and reads only those partitions."""
 
     commit_point = "file"
-    mode = "inline"
+    mode = "sliced"
 
     def setup(self, tmp, inputs):
         return {"in": inputs["corpus"], "out": str(tmp / "ckpt")}

@@ -103,10 +103,10 @@ def test_registry_pinned():
 
     q = __ray_entry__.queries()
     o = __ray_entry__.oracle_sql()
-    assert (len(q), len(o)) == (343, 292)
+    assert (len(q), len(o)) == (341, 292)
     assert list(q)[:50] == FIRST_50
     assert hashlib.sha256("\n".join(q).encode()).hexdigest() == (
-        "78ef97e20f9d2d0211060a957c6e77164e8001bc92b232fafabb1c0f7cf045e3"
+        "eb522a9af73ddbc532a7c878268588c4b9fb0de5a2247fd26883a941056ccc91"
     )
     oracle_text = "\n".join(f"{k}\t{v}" for k, v in sorted(o.items()))
     assert hashlib.sha256(oracle_text.encode()).hexdigest() == (
@@ -498,9 +498,7 @@ ROWS_ONLY = [
     "domain_stats",
     "doc_length_quantiles_approx",
     "approx_top_terms",
-    "extract_inline",
     "extract_sliced",
-    "extract_size_bucketed",
     "extract_fused",
     "extract_vlm",
     "embedding_near_dup",

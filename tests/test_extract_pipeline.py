@@ -1,7 +1,7 @@
 """End-to-end Ray pipeline tests: byte-identity vs the single-process oracle.
 
 The north-rule invariant (BASELINE.json): byte-identical extracted text per
-url, across all pipeline modes (inline / sliced / size_bucketed).
+url, in both plans (fused / sliced).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ def _collect(ds):
     return {r["url"]: r for r in ds.take_all()}
 
 
-@pytest.mark.parametrize("mode", ["inline", "sliced", "size_bucketed", "fused"])
+@pytest.mark.parametrize("mode", ["sliced", "fused"])
 def test_pipeline_matches_oracle(ray_session, corpus_dir, corpus_oracle, mode):
     ds = extract_pipeline(corpus_dir, mode=mode, concurrency=(1, 2))
     got = _collect(ds)
@@ -50,6 +50,25 @@ def test_fused_one_task_per_shard_and_empty_input(ray_session, corpus_dir, tmp_p
     empty.mkdir()
     assert extract_pipeline(str(empty), mode="fused").take_all() == []
     assert extract_pipeline(str(empty), mode="sliced").take_all() == []
+
+
+def test_partition_id_independent_of_path_spelling(ray_session, corpus_dir, monkeypatch):
+    """A relative and an absolute spelling of one input give the same
+    lineage ids, so a resume from another working directory does not mix
+    ids in one output."""
+    import os
+
+    from docling_jobkit_ray.sources.pages import shard_paths
+
+    def ids(path):
+        ds = extract_pipeline(path, mode="fused").select_columns(["url", "partition_id"])
+        return {r["url"]: r["partition_id"] for r in ds.take_all()}
+
+    absolute = ids(corpus_dir)
+    monkeypatch.chdir(os.path.dirname(corpus_dir))
+    relative = os.path.basename(corpus_dir)
+    assert shard_paths(relative) == shard_paths(corpus_dir)
+    assert ids(relative) == absolute
 
 
 def test_extract_udf_freezes_worker_heap_only(ray_session):
@@ -142,22 +161,22 @@ def test_sliced_mode_actually_slices(ray_session, corpus_dir):
 
 
 def test_sliced_mode_honors_preflight_caps(ray_session, corpus_dir):
-    """A doc over max_pages must FAIL identically in sliced and inline modes
+    """A doc over max_pages must FAIL identically in sliced and fused modes
     (the slice router must not bypass admission preflight): with max_pages
     set below the corpus's largest binary doc, both modes emit the same
     TooManyPagesError rows, and byte-identity holds across the board."""
     from docling_jobkit_ray.extract.record import ExtractOptions
 
     opts = ExtractOptions(max_pages=15)  # corpus binaries go up to ~40 pages
-    inline = _collect(extract_pipeline(corpus_dir, mode="inline", options=opts, concurrency=(1, 2)))
-    sliced = _collect(extract_pipeline(corpus_dir, mode="sliced", options=opts, concurrency=(1, 2)))
-    assert set(inline) == set(sliced)
-    for url, i_row in inline.items():
+    fused = _collect(extract_pipeline(corpus_dir, mode="fused", options=opts))
+    sliced = _collect(extract_pipeline(corpus_dir, mode="sliced", options=opts))
+    assert set(fused) == set(sliced)
+    for url, f_row in fused.items():
         s_row = sliced[url]
-        assert s_row["status"] == i_row["status"], url
-        assert s_row["text"] == i_row["text"], url
-        assert s_row["error"] == i_row["error"], url
-    too_many = [u for u, r in inline.items() if r["error"] and "TooManyPages" in r["error"]]
+        assert s_row["status"] == f_row["status"], url
+        assert s_row["text"] == f_row["text"], url
+        assert s_row["error"] == f_row["error"], url
+    too_many = [u for u, r in fused.items() if r["error"] and "TooManyPages" in r["error"]]
     assert too_many, "cap should reject at least one corpus doc"
     # and those rejects must be FAILURES in sliced mode too
     for u in too_many:

@@ -40,7 +40,7 @@ def test_extract_and_write_through_fsspec(ray_session, corpus_dir, fsspec_fs, tm
     import ray.data
 
     out = str(tmp_path / "fsspec_out")
-    ds = extract_pipeline(corpus_dir, mode="inline", concurrency=(1, 2))
+    ds = extract_pipeline(corpus_dir, mode="fused")
     ds.write_parquet(out, filesystem=fsspec_fs)
     back = ray.data.read_parquet(out, columns=["url", "status"], filesystem=fsspec_fs)
     assert back.count() == 600

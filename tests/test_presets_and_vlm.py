@@ -54,8 +54,8 @@ def test_extract_pipeline_resolves_preset(ray_session, corpus_dir):
 def test_vlm_pipeline_family(ray_session, corpus_dir):
     with pytest.raises(ValueError):
         extract_pipeline(corpus_dir, pipeline="quantum")
-    std = extract_pipeline(corpus_dir, mode="inline", concurrency=(1, 2))
-    vlm = extract_pipeline(corpus_dir, mode="inline", pipeline="vlm", concurrency=(1, 2))
+    std = extract_pipeline(corpus_dir, mode="fused")
+    vlm = extract_pipeline(corpus_dir, mode="fused", pipeline="vlm", concurrency=(1, 2))
     assert "vlm_json" not in std.schema().names
     rows = {r["url"]: r for r in vlm.take_all()}
     assert "vlm_json" in next(iter(rows.values()))
@@ -80,7 +80,7 @@ def test_vlm_pipeline_family(ray_session, corpus_dir):
     vlm2 = {
         r["url"]: r["vlm_json"]
         for r in extract_pipeline(
-            corpus_dir, mode="inline", pipeline="vlm", concurrency=(1, 2)
+            corpus_dir, mode="fused", pipeline="vlm", concurrency=(1, 2)
         ).take_all()
     }
     assert vlm2 == {u: r["vlm_json"] for u, r in rows.items()}

@@ -1,5 +1,5 @@
 """Skew / oversized-document handling: slice fan-out over a giant binary doc
-and size-bucketed routing of a giant HTML row."""
+and a giant HTML row in one shard task."""
 
 from __future__ import annotations
 
@@ -48,7 +48,7 @@ def _oracle(skewed_corpus):
     }
 
 
-@pytest.mark.parametrize("mode", ["sliced", "size_bucketed", "fused"])
+@pytest.mark.parametrize("mode", ["sliced", "fused"])
 def test_giant_docs_byte_identical(ray_session, skewed_corpus, mode):
     from docling_jobkit_ray.pipelines.extract import extract_pipeline
 

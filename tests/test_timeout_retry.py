@@ -213,9 +213,9 @@ def test_page_range_validation():
         ExtractOptions(retry_attempts=-1)
 
 
-def test_page_range_sliced_matches_inline(ray_session, tmp_path):
+def test_page_range_sliced_matches_fused(ray_session, tmp_path):
     """Byte-identity across modes under a page_range: the sliced plan must
-    cut exactly the clamped sub-range the inline parse extracts."""
+    cut exactly the clamped sub-range the fused parse extracts."""
     from docling_jobkit_ray.pipelines.extract import extract_pipeline
 
     big = build_binary_doc([f"Giant page {i} with words." for i in range(60)])
@@ -227,23 +227,21 @@ def test_page_range_sliced_matches_inline(ray_session, tmp_path):
     )
     pq.write_table(t, str(tmp_path / "pages-0.parquet"))
     opts = ExtractOptions(page_range=(3, 40))
-    inline = {
+    fused = {
         r["url"]: r
-        for r in extract_pipeline(str(tmp_path), options=opts, concurrency=(1, 2)).take_all()
+        for r in extract_pipeline(str(tmp_path), options=opts, mode="fused").take_all()
     }
     sliced = {
         r["url"]: r
-        for r in extract_pipeline(
-            str(tmp_path), options=opts, mode="sliced", concurrency=(1, 2)
-        ).take_all()
+        for r in extract_pipeline(str(tmp_path), options=opts, mode="sliced").take_all()
     }
-    assert set(inline) == set(sliced) == {"https://x/big", "https://x/small"}
-    for url in inline:
-        assert sliced[url]["text"] == inline[url]["text"]
-        assert sliced[url]["doc_json"] == inline[url]["doc_json"]
+    assert set(fused) == set(sliced) == {"https://x/big", "https://x/small"}
+    for url in fused:
+        assert sliced[url]["text"] == fused[url]["text"]
+        assert sliced[url]["doc_json"] == fused[url]["doc_json"]
     # and the range is really applied: 38 pages selected from the 60-pager
     expected_text, _ = assemble_pages([f"Giant page {i} with words." for i in range(2, 40)])
-    assert inline["https://x/big"]["text"] == expected_text
+    assert fused["https://x/big"]["text"] == expected_text
 
 
 def test_watchdog_heap_compaction():
