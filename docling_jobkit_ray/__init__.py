@@ -25,8 +25,10 @@ Public surface:
   registered query with its DuckDB oracle SQL (``queries()`` /
   ``oracle_sql()``; ``python -m docling_jobkit_ray.cli query --list``).
 
-Nothing in this package calls ``ray.init()`` — sessions are owned by the
-caller (bench.py, tests' conftest, or the driver).
+Sessions are owned by the caller (bench.py, tests' conftest, or the
+driver).  The one ``ray.init()`` in this package starts a default session
+when none is running (``sources.pages.shard_groups`` needs the CPU count),
+as Ray Data's own read calls do.
 """
 
 __version__ = "0.1.0"

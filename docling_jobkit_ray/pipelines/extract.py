@@ -7,9 +7,11 @@ pipeline is just Dataset transforms (SURVEY.md §3.4).
 
 Two plans:
 
-- ``fused`` (the default): one task reads one shard and extracts it, with
-  no intermediate blocks between read and parse.  Checkpointed runs use
-  the same per-shard task.
+- ``fused`` (the default): one task reads a byte-balanced group of
+  consecutive shards (about one group per CPU, see
+  ``sources.pages.shard_items``) and extracts them shard by shard, with no
+  intermediate blocks between read and parse.  Checkpointed runs use the
+  same packed per-shard tasks.
 - ``sliced``: oversized binary docs fan out into page slices
   (``flat_map``-style plan), are extracted in parallel and reassembled by
   ``groupby("url").map_groups`` — the reference's slice fan-out
@@ -26,7 +28,7 @@ import ray.data
 
 from ..extract.errors import STATUS_FAILURE
 from ..extract.record import ExtractOptions
-from ..sources.pages import read_shard, shard_items, shard_paths
+from ..sources.pages import list_shards, read_shard, shard_items
 from ..stages.extract import ExtractDocuments, options_to_kwargs
 from ..stages.slices import (
     ExtractSlices,
@@ -93,12 +95,13 @@ def extract_pipeline(
         return ds
 
     if mode == "fused":
-        # One task = read one shard + extract it (read fused into the heavy
+        # One call = read one shard + extract it (read fused into the heavy
         # map by hand): no intermediate block materialization, no
         # cross-operator backpressure, and the shard is the natural work
         # unit for checkpointing anyway.  Dataset-of-paths -> map_batches is
-        # the documented Ray Data pattern for custom-read workloads.
-        paths = shard_paths(input_path)
+        # the documented Ray Data pattern for custom-read workloads; one
+        # task runs a packed group of such calls.
+        shards = list_shards(input_path)
         opts_kwargs = options_to_kwargs(options)
 
         def read_and_extract(batch) -> pa.Table:
@@ -106,7 +109,7 @@ def extract_pipeline(
             return pa.concat_tables([udf(read_shard(str(p))) for p in batch["path"]])
 
         return _family(
-            shard_items(paths).map_batches(read_and_extract, batch_size=1, batch_format="numpy")
+            shard_items(shards).map_batches(read_and_extract, batch_size=1, batch_format="numpy")
         )
 
     if mode == "sliced":
@@ -120,7 +123,7 @@ def extract_pipeline(
         # only the claimed-big minority is structurally parsed.  Docs over
         # max_pages/max_bytes route to the rest branch so admission
         # preflight emits the same FAILURE rows as the fused plan.
-        paths = shard_paths(input_path)
+        shards = list_shards(input_path)
         opts_kwargs = options_to_kwargs(options)
         caps = {
             "max_pages": options.max_pages,
@@ -135,12 +138,12 @@ def extract_pipeline(
             return pa.concat_tables([read_shard(str(p)) for p in batch["path"]])
 
         # Branch 1: everything except oversized binaries — read+filter+extract
-        # fused into one task per shard.
+        # fused into one call per shard.
         def rest_task(batch) -> pa.Table:
             udf = ExtractDocuments(opts_kwargs)
             return udf(_drop(_read_shards(batch)))
 
-        rest_out = shard_items(paths).map_batches(rest_task, batch_size=1, batch_format="numpy")
+        rest_out = shard_items(shards).map_batches(rest_task, batch_size=1, batch_format="numpy")
 
         # Branch 2: oversized binaries — read+filter+slice-plan fused, then
         # per-slice extract (task pool) -> groupby url -> reassemble (the
@@ -148,7 +151,7 @@ def extract_pipeline(
         def plan_task(batch) -> pa.Table:
             return _plan(_keep(_read_shards(batch)))
 
-        slices = shard_items(paths).map_batches(plan_task, batch_size=1, batch_format="numpy")
+        slices = shard_items(shards).map_batches(plan_task, batch_size=1, batch_format="numpy")
         slice_parts = slices.map_batches(
             ExtractSlices(opts_kwargs),
             batch_format="pyarrow",
@@ -163,7 +166,7 @@ def extract_pipeline(
         # corpus rows alone is NOT an upper bound on slice rows)
         from ..scale import bucket_count, estimate_table_rows
 
-        est_rows = sum(estimate_table_rows(p) for p in paths)
+        est_rows = sum(estimate_table_rows(s.path) for s in shards)
         max_slices_per_doc = max(1, options.max_pages // slice_pages)
         n_reasm = bucket_count(
             est_rows * max_slices_per_doc,
@@ -278,8 +281,8 @@ def extract_ab_compare(
     from ..extract.record import extract_record
 
     opt_a, opt_b = get_preset(preset_a), get_preset(preset_b)
-    # fused shard plan: one task = read one shard + extract it TWICE
-    paths = shard_paths(input_path)
+    # fused shard plan: one call = read one shard + extract it TWICE
+    shards = list_shards(input_path)
 
     out_schema = pa.schema(
         [
@@ -320,7 +323,7 @@ def extract_ab_compare(
         )
 
     return (
-        shard_items(paths).map_batches(fn, batch_size=1, batch_format="pyarrow")
+        shard_items(shards).map_batches(fn, batch_size=1, batch_format="pyarrow")
         .groupby(["status_a", "status_b", "texts_equal"])
         .aggregate(Sum("n_docs", alias_name="n_docs"))
         .sort(["status_a", "status_b", "texts_equal"])

@@ -2,52 +2,144 @@
 
 Replaces the reference's source-connector listing/fetch machinery
 (reference ``docling_jobkit/connectors/source_processor.py:49-198``).
-Extraction plans list the shards with :func:`shard_paths`, run one task per
-shard over :func:`shard_items` and read the shard inside the task with
-:func:`read_shard`, which attaches the shard path per row: the lineage key
-for the dead-letter dataset and checkpoint manifest (SURVEY.md §4.2 resume).
+Extraction plans list the shards with their on-disk sizes with
+:func:`list_shards`, pack consecutive shards into byte-balanced groups with
+:func:`shard_items` (one block, hence one task, per group: about one group
+per CPU, no group of several shards over Ray's target block size, a shard
+larger than its share alone) and read each shard inside the task with :func:`read_shard`,
+which attaches the shard path per row: the lineage key for the dead-letter
+dataset and checkpoint manifest (SURVEY.md §4.2 resume).
 """
 
 from __future__ import annotations
 
-import glob
+import math
 import os
+from typing import NamedTuple
 
 import pyarrow as pa
+import pyarrow.fs as pafs
 import pyarrow.parquet as pq
+import ray
 import ray.data
 
 
-def _absolute(path: str) -> str:
-    """A local path made absolute, so lineage ids do not depend on the
-    working directory; a URI (``scheme://...``) is kept as given."""
-    return path if "://" in path else os.path.abspath(path)
+class Shard(NamedTuple):
+    """One parquet shard: its path (absolute local path or URI) and its
+    on-disk size in bytes, the weight :func:`shard_items` packs by."""
+
+    path: str
+    size: int
 
 
-def shard_paths(input_path: str | list[str]) -> list[str]:
+def _filesystem(path: str) -> tuple[pafs.FileSystem, str]:
+    """The filesystem behind a local path or a ``scheme://`` URI, and the
+    path within it (local paths made absolute, so lineage ids do not depend
+    on the working directory)."""
+    if "://" in path:
+        return pafs.FileSystem.from_uri(path)
+    return pafs.LocalFileSystem(), os.path.abspath(path)
+
+
+def list_shards(input_path: str | list[str]) -> list[Shard]:
     """The parquet shards behind ``input_path``: a directory's ``*.parquet``
-    files in name order, a single file, or a list of files as given.  Local
-    paths come back absolute."""
-    if not isinstance(input_path, str):
-        return [_absolute(p) for p in input_path]
-    if os.path.isdir(input_path):
-        return sorted(glob.glob(os.path.join(os.path.abspath(input_path), "*.parquet")))
-    return [_absolute(input_path)]
+    files in name order, a single file, or a list of either — local or
+    ``scheme://`` URIs, each listed once for its size.  Local paths come
+    back absolute; a URI keeps its scheme, so :func:`read_shard` reads it."""
+    shards = []
+    for given in [input_path] if isinstance(input_path, str) else input_path:
+        fs, path = _filesystem(given)
+        prefix = given.split("://", 1)[0] + "://" if "://" in given else ""
+        info = fs.get_file_info(path)
+        if info.type == pafs.FileType.Directory:
+            listed = fs.get_file_info(pafs.FileSelector(path))
+            infos = sorted(
+                (i for i in listed if i.is_file and i.base_name.endswith(".parquet")),
+                key=lambda i: i.base_name,
+            )
+        elif info.is_file:
+            infos = [info]
+        else:
+            raise FileNotFoundError(f"no parquet shard at {given!r}")
+        shards += [Shard(prefix + i.path, i.size) for i in infos]
+    return shards
 
 
-def shard_items(paths: list[str]) -> ray.data.Dataset:
-    """A Dataset of ``{"path": p}`` rows with one block, hence one map task,
-    per shard — the input of plans that read a shard inside the task.
-    An empty list gives an empty Dataset (Ray rejects zero blocks)."""
-    return ray.data.from_items(
-        [{"path": p} for p in paths], override_num_blocks=max(len(paths), 1)
+def pack_shards(
+    sizes: list[int], cpus: int, min_bytes: int, max_bytes: int
+) -> list[list[int]]:
+    """Consecutive shard indices packed into byte-balanced groups.
+
+    The group count is ``min(n, max(ceil(total / max_bytes), min(cpus,
+    ceil(total / min_bytes))))``: one group per CPU, but no group under
+    ``min_bytes`` of input and none over ``max_bytes`` (Spark's file-split
+    rule, with Ray's block-size targets).  A shard joins the group whose
+    share ``[k·total/n_groups, (k+1)·total/n_groups)`` holds its midpoint, so
+    the cuts fall at the shard edges nearest those boundaries.  A shard
+    larger than one share is a group by itself, and a group never grows past
+    ``max_bytes`` by a second shard."""
+    total = sum(sizes)
+    n_groups = min(
+        len(sizes),
+        max(math.ceil(total / max_bytes), min(cpus, math.ceil(total / min_bytes))),
+    )
+    groups: list[list[int]] = []
+    cum = group_bytes = 0
+    last_slot = last_big = None
+    for i, size in enumerate(sizes):
+        slot = min((2 * cum + size) * n_groups // (2 * total), n_groups - 1) if total else 0
+        big = size * n_groups > total
+        if not groups or slot != last_slot or big or last_big or group_bytes + size > max_bytes:
+            groups.append([])
+            group_bytes = 0
+        groups[-1].append(i)
+        group_bytes += size
+        cum += size
+        last_slot, last_big = slot, big
+    return groups
+
+
+_ITEM_SCHEMA = pa.schema([("path", pa.string()), ("size", pa.int64())])
+
+
+def shard_groups(shards: list[Shard]) -> list[list[Shard]]:
+    """:func:`pack_shards` for this Ray cluster's CPU count and the current
+    ``DataContext``'s block-size targets (starting Ray if it is not yet)."""
+    if not ray.is_initialized():
+        ray.init()
+    ctx = ray.data.DataContext.get_current()
+    groups = pack_shards(
+        [s.size for s in shards],
+        int(ray.cluster_resources().get("CPU", 1)),
+        ctx.target_min_block_size,
+        ctx.target_max_block_size,
+    )
+    return [[shards[i] for i in g] for g in groups]
+
+
+def shard_items(shards: list[Shard]) -> ray.data.Dataset:
+    """A Dataset of ``{"path", "size"}`` rows, one block (hence one map
+    task) per :func:`shard_groups` group — the input of plans that read a
+    shard inside the task.  A ``batch_size=1`` UDF still sees one shard per
+    call.  An empty list gives an empty Dataset (one empty block: Ray
+    rejects zero blocks).  ``from_blocks`` keeps the blocks as given and
+    takes their metadata in the driver, where ``from_arrow`` launches one
+    Ray task per block to read it."""
+    return ray.data.from_blocks(
+        [
+            pa.Table.from_pylist([s._asdict() for s in g], schema=_ITEM_SCHEMA)
+            for g in shard_groups(shards) or [[]]
+        ]
     )
 
 
 def read_shard(path: str) -> pa.Table:
     """One shard's (url, html) columns plus its ``path`` on every row —
-    the only columns extraction reads."""
-    t = pq.read_table(path, columns=["url", "html"])
+    the only columns extraction reads.  A URI is read through the
+    filesystem its scheme names, as :func:`list_shards` listed it."""
+    fs, fs_path = _filesystem(path)
+    with pq.ParquetFile(fs_path, filesystem=fs) as f:
+        t = f.read(columns=["url", "html"])
     return t.append_column("path", pa.array([path] * t.num_rows, pa.string()))
 
 

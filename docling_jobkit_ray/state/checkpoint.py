@@ -15,9 +15,13 @@ atomic finalize, lease/heartbeat ``:1225-1330``) with a filesystem manifest:
   parse_failures) + wall time;
 - resume = list `_manifest/`, skip shards already recorded.
 
-At 100 TB, a shard is a multi-GB parquet file and each shard run is itself a
-streaming Ray Data pipeline; shards can also be processed K-at-a-time to
-keep the cluster saturated while bounding re-do-on-crash work.
+The fused runner is one Ray Data execution over the pending shards, packed
+K-at-a-time into byte-balanced groups (``sources.pages.shard_items``: about
+one group per CPU, no group of several shards over Ray's target block size,
+so multi-GB shards still run one per task).  A packed task still stages and
+publishes each shard's partition separately and returns one manifest row
+per shard, and the driver stays the only manifest writer: a crash re-does
+at most the shards whose rows the driver had not yet recorded.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import pyarrow.parquet as pq
 from ..extract.errors import STATUS_FAILURE
 from ..extract.record import ExtractOptions
 from ..pipelines.extract import extract_pipeline
-from ..sources.pages import read_shard, shard_items, shard_paths
+from ..sources.pages import Shard, list_shards, read_shard, shard_items
 from ..stages.extract import EXTRACTED_SCHEMA, ExtractDocuments, options_to_kwargs
 from .commit import atomic_write, staged_dir
 
@@ -99,16 +103,17 @@ def _totals(n_shards: int, n_skipped: int, done: dict) -> dict:
     }
 
 
-def _shard_record(shard_path: str, out: pa.Table, t0: float) -> dict:
-    """One shard's manifest counters, from its extracted output (in memory
-    or read back from the local partition) and its start time."""
+def _shard_record(shard: Shard, out: pa.Table, t0: float) -> dict:
+    """One shard's manifest counters, from its listing (path, on-disk
+    size), its extracted output (in memory or read back from the local
+    partition) and its start time."""
     return {
-        "shard_key": _shard_key(shard_path),
-        "shard_path": shard_path,
+        "shard_key": _shard_key(shard.path),
+        "shard_path": shard.path,
         "docs": out.num_rows,
         "parse_failures": int(pc.sum(pc.equal(out["status"], STATUS_FAILURE)).as_py() or 0),
         "chars_out": int(pc.sum(out["n_chars"]).as_py() or 0),
-        "input_bytes": os.path.getsize(shard_path),
+        "input_bytes": shard.size,
         "wall_sec": round(time.monotonic() - t0, 3),
     }
 
@@ -145,9 +150,10 @@ def run_extract_checkpointed_fused(
 ) -> dict:
     """Checkpointed run as ONE Ray Dataset execution (the scale path).
 
-    One fused task per pending shard: read shard -> extract -> write
-    `part-<shard>` parquet (temp-then-rename, atomic) -> return ONE manifest
-    row.  The driver only ever sees manifest rows (bytes-counted lineage),
+    One fused call per pending shard, in packed tasks of byte-balanced
+    shard groups: read shard -> extract -> write `part-<shard>` parquet
+    (temp-then-rename, atomic) -> return ONE manifest row.  The driver
+    only ever sees manifest rows (bytes-counted lineage),
     never document data — so 10^5 shards is one streaming execution with a
     tiny driver-side collect, instead of 10^5 separate pipeline launches.
 
@@ -168,8 +174,8 @@ def run_extract_checkpointed_fused(
     os.makedirs(out_dir, exist_ok=True)
     done = completed_shards(out_dir)
     _check_pipeline_consistent(done, pipeline, out_dir)
-    shards = shard_paths(input_dir)
-    pending = [s for s in shards if _shard_key(s) not in done]
+    shards = list_shards(input_dir)
+    pending = [s for s in shards if _shard_key(s.path) not in done]
     opts_kwargs = options_to_kwargs(options)
     abs_out = os.path.abspath(out_dir)
     vlm = pipeline == "vlm"
@@ -180,15 +186,15 @@ def run_extract_checkpointed_fused(
         # shard task (the task-pool substitute for actor __init__ state)
         describe = get_describe_udf() if vlm else None
         recs = []
-        for p in batch["path"]:
-            p = str(p)
+        for p, size in zip(batch["path"], batch["size"]):
+            shard = Shard(str(p), int(size))
             t0 = time.monotonic()
-            out = udf(read_shard(p))
+            out = udf(read_shard(shard.path))
             if describe is not None:  # vlm family: enrich in the same task
                 out = describe(out)
-            with _staged_partition(abs_out, _shard_key(p)) as st:
+            with _staged_partition(abs_out, _shard_key(shard.path)) as st:
                 pq.write_table(out, os.path.join(st.path, "data.parquet"))
-            recs.append(_shard_record(p, out, t0))
+            recs.append(_shard_record(shard, out, t0))
         return pa.Table.from_pylist(recs, schema=_RECORD_SCHEMA)
 
     if pending:
@@ -234,17 +240,17 @@ def run_extract_checkpointed(
     os.makedirs(out_dir, exist_ok=True)
     done = completed_shards(out_dir)
     _check_pipeline_consistent(done, pipeline, out_dir)
-    shards = shard_paths(input_dir)
+    shards = list_shards(input_dir)
     n_skipped = 0
 
     for shard in shards:
-        key = _shard_key(shard)
+        key = _shard_key(shard.path)
         if key in done:
             n_skipped += 1
             continue
         t0 = time.monotonic()
         ds = extract_pipeline(
-            shard,
+            shard.path,
             options=options,
             mode=mode,
             pipeline=pipeline,

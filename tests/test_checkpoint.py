@@ -174,3 +174,46 @@ def test_resume_infers_pipeline_from_legacy_manifest(ray_session, corpus_dir, tm
         run_extract_checkpointed(corpus_dir, out, mode="fused")  # standard
     totals = run_extract_checkpointed(corpus_dir, out, mode="fused", pipeline="vlm")
     assert totals["shards_skipped_resume"] == 3
+
+
+def test_crash_inside_packed_task_redoes_published_shards(ray_session, tmp_path):
+    """A packed fused task publishes each shard's partition as it goes:
+    when its second shard is corrupt, the run raises after the first
+    shard's partition landed, no manifest record exists, and the re-run
+    over the repaired input equals a crash-free run (one row per url, no
+    staging dirs left)."""
+    import pyarrow.parquet as pq
+
+    from docling_jobkit_ray.fixtures.corpus import write_corpus
+    from docling_jobkit_ray.sources.pages import list_shards, shard_groups
+    from docling_jobkit_ray.state.checkpoint import completed_shards, run_extract_checkpointed
+
+    src = tmp_path / "in"
+    write_corpus(str(src), n_rows=120, seed=5, n_shards=3)
+    victim = src / "pages-00001.parquet"
+    good = victim.read_bytes()
+    victim.write_bytes(b"PAR1 not a parquet file PAR1")
+    shards = list_shards(str(src))
+    # the corrupt shard is second in a packed task
+    assert shard_groups(shards)[0][:2] == shards[:2]
+
+    out = tmp_path / "out"
+    with pytest.raises(Exception):
+        run_extract_checkpointed(str(src), str(out), mode="fused")
+    assert (out / "part-pages-00000").is_dir()  # published before the crash
+    assert completed_shards(str(out)) == {}  # ... but never recorded
+
+    victim.write_bytes(good)
+    totals = run_extract_checkpointed(str(src), str(out), mode="fused")
+    ref = tmp_path / "ref"
+    assert totals == run_extract_checkpointed(str(src), str(ref), mode="fused")
+    assert totals["shards_skipped_resume"] == 0
+    assert not [d for d in os.listdir(out) if d.startswith(".tmp-")]
+
+    def rows(d):
+        t = pq.read_table(sorted(glob.glob(os.path.join(d, "part-*", "*.parquet"))))
+        return sorted(zip(t["url"].to_pylist(), t["text"].to_pylist(), t["status"].to_pylist()))
+
+    got = rows(out)
+    assert len({u for u, _, _ in got}) == len(got) == totals["docs"]
+    assert got == rows(ref)

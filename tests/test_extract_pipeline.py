@@ -35,16 +35,17 @@ def test_pipeline_matches_oracle(ray_session, corpus_dir, corpus_oracle, mode):
         assert list(g["spans"] or []) == oracle_row["spans"], url
 
 
-def test_fused_one_task_per_shard_and_empty_input(ray_session, corpus_dir, tmp_path):
-    """Fused plans drive one map task per shard with no repartition
-    operator; an empty input directory gives an empty result (Ray refuses
-    a zero-block from_items, so ``shard_items`` must not ask for one)."""
-    import glob
+def test_fused_tasks_follow_shard_packing_and_empty_input(ray_session, corpus_dir, tmp_path):
+    """Fused plans drive one map task per byte-balanced shard group (at
+    the session's CPU count) with no repartition operator; an empty input
+    directory gives an empty result (Ray refuses a zero-block Dataset, so
+    ``shard_items`` must not ask for one)."""
+    from docling_jobkit_ray.sources.pages import list_shards, shard_groups
 
+    groups = shard_groups(list_shards(corpus_dir))
     stats = extract_pipeline(corpus_dir, mode="fused").materialize().stats()
     assert "Repartition" not in stats
-    n_shards = len(glob.glob(f"{corpus_dir}/*.parquet"))
-    assert f"MapBatches(read_and_extract): {n_shards} tasks executed" in stats
+    assert f"MapBatches(read_and_extract): {len(groups)} tasks executed" in stats
 
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -58,7 +59,7 @@ def test_partition_id_independent_of_path_spelling(ray_session, corpus_dir, monk
     ids in one output."""
     import os
 
-    from docling_jobkit_ray.sources.pages import shard_paths
+    from docling_jobkit_ray.sources.pages import list_shards
 
     def ids(path):
         ds = extract_pipeline(path, mode="fused").select_columns(["url", "partition_id"])
@@ -67,7 +68,7 @@ def test_partition_id_independent_of_path_spelling(ray_session, corpus_dir, monk
     absolute = ids(corpus_dir)
     monkeypatch.chdir(os.path.dirname(corpus_dir))
     relative = os.path.basename(corpus_dir)
-    assert shard_paths(relative) == shard_paths(corpus_dir)
+    assert list_shards(relative) == list_shards(corpus_dir)
     assert ids(relative) == absolute
 
 
