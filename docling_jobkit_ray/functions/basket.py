@@ -118,6 +118,7 @@ def basket_association_rules(
              "n": pc.cast(batch["n"], pa.int64())}
         ).filter(pc.less(pc.cast(batch["key"], pa.int64()), pa.scalar(2**32, pa.int64())))
 
+    # bounded: one row per part (the part dimension) plus the N row
     small = counts.map_batches(small_side, batch_format="pyarrow").take_all()
     item_keys = np.array(
         [r["key"] for r in small if r["key"] >= 0], np.int64
@@ -278,6 +279,7 @@ def item_cooccurrence_topk(
         )
         return t.filter(pc.less(t["key"], pa.scalar(2**32, pa.int64())))
 
+    # bounded: one row per item (the part dimension) plus the N row
     small = counts.map_batches(small_side, batch_format="pyarrow").take_all()
     item_keys = np.array([r["key"] for r in small], np.int64)
     item_ns = np.array([r["n"] for r in small], np.int64)

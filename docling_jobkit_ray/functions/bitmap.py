@@ -426,6 +426,7 @@ def compact_bitmap_index(index_dir: str) -> dict:
             out_rows.append(len(files) - 1)
         return pa.table({"absorbed": pa.array(out_rows, pa.int64())})
 
+    # bounded: one row per index partition directory
     absorbed = sum(
         r["absorbed"]
         for r in ray.data.from_items([{"dir": d} for d in dirs])

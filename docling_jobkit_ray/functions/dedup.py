@@ -31,6 +31,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from ..exchange import bucket_exchange
 from ..sources.pages import read_table
 from ._arrow import list_column_to_matrix
 
@@ -386,6 +387,57 @@ def ngram_jaccard(text_a: str, text_b: str, k: int = 3) -> float:
     return len(a & b) / len(a | b)
 
 
+# ---------------------------------------------------------------------------
+# pair keys: one int64 per candidate (doc_a, doc_b) pair
+# ---------------------------------------------------------------------------
+
+# Pair emission crosses the pair-dedup groupby as ONE combined int64 key:
+# a two-key (doc_a, doc_b) groupby is pathological in Ray's sort-based
+# aggregate (26 s vs ~1 s on a 43k-row stream — measured in the fuzzy
+# join, same shape).  doc ids are below 2**32, so the key is exact.
+_PAIR_SHIFT = 2**32
+_PAIRKEY_SCHEMA = pa.schema([("pairkey", pa.int64())])
+
+
+def _encode_pairs(doc_a: np.ndarray, doc_b: np.ndarray) -> pa.Table:
+    """Distinct ``doc_a * 2**32 + doc_b`` keys as one ``pairkey`` column."""
+    key = doc_a * np.int64(_PAIR_SHIFT) + doc_b
+    return pa.table({"pairkey": pa.array(np.unique(key), pa.int64())})
+
+
+def _decode_pairs(batch: pa.Table, extra: tuple[str, ...] = ()) -> pa.Table:
+    """Inverse of :func:`_encode_pairs`: ``pairkey`` -> (doc_a, doc_b), plus
+    the ``extra`` (count) columns as int64."""
+    if batch.num_rows == 0 or batch.num_columns == 0:
+        return pa.schema(
+            [(c, pa.int64()) for c in ("doc_a", "doc_b", *extra)]
+        ).empty_table()
+    shift = pa.scalar(_PAIR_SHIFT, pa.int64())
+    a = pc.divide(batch["pairkey"], shift)
+    out = {"doc_a": a, "doc_b": pc.subtract(batch["pairkey"], pc.multiply(a, shift))}
+    out.update((c, pc.cast(batch[c], pa.int64())) for c in extra)
+    return pa.table(out)
+
+
+def _distinct_pairs(
+    pairkeys: ray.data.Dataset, count: str | None = None
+) -> ray.data.Dataset:
+    """Distinct (doc_a, doc_b) pairs of a ``pairkey`` stream (a pair can be
+    emitted by several buckets), with its emission count as ``count``."""
+    from ray.data.aggregate import Count
+
+    extra = (count,) if count else ()
+    return (
+        pairkeys.groupby("pairkey")
+        .aggregate(Count(alias_name=count or "n_hits"))
+        .map_batches(
+            lambda b: _decode_pairs(b, extra),
+            batch_format="pyarrow",
+            zero_copy_batch=True,
+        )
+    )
+
+
 def _minhash_lsh_candidate_groups(
     sf_dir: str, *, num_perm: int = 64, n_bands: int = 16, shingle_k: int = 3
 ) -> ray.data.Dataset:
@@ -428,66 +480,36 @@ def _minhash_lsh_candidate_groups(
         min_buckets=256,
     )
     bucket_mask = pa.scalar(n_buckets - 1, pa.int64())
+    band_schema = pa.schema(
+        [("band_id", pa.int32()), ("band_hash", pa.int64()), ("doc_id", pa.int64()),
+         ("bucket", pa.int64())]
+    )
 
     def add_bucket(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         return batch.append_column(
             "bucket", pc.bit_wise_and(batch["band_hash"], bucket_mask)
         )
 
-    bucketed = bands.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-
     def emit_pairs_bucket(group: pd.DataFrame) -> pa.Table:
-        # ARROW out + ONE combined int64 pair key: pandas blocks into the
-        # downstream groupby make Ray's sort-based aggregate 5.5x slower,
-        # and a two-key groupby is pathological on top (26 s vs ~1 s on a
-        # 43k-row stream — measured in the fuzzy join, same shape)
+        # ARROW out: pandas blocks into the downstream groupby make Ray's
+        # sort-based aggregate 5.5x slower
         g = group[["band_id", "band_hash", "doc_id"]]
         m = g.merge(g, on=["band_id", "band_hash"], suffixes=("_a", "_b"))
         m = m[m["doc_id_a"] < m["doc_id_b"]]
-        if m.empty:
-            return pa.table({"pairkey": pa.array([], pa.int64())})
-        key = (
-            m["doc_id_a"].to_numpy() * np.int64(2**32) + m["doc_id_b"].to_numpy()
-        )
         # bucket-local distinct; cross-bucket repeats (a pair colliding in
         # several bands) fold in the global Count below
-        return pa.table({"pairkey": pa.array(np.unique(key), pa.int64())})
+        return _encode_pairs(m["doc_id_a"].to_numpy(), m["doc_id_b"].to_numpy())
 
-    pairs = bucketed.groupby("bucket").map_groups(
-        emit_pairs_bucket, batch_format="pandas"
+    pairs = bucket_exchange(
+        bands,
+        emit_pairs_bucket,
+        schema=band_schema,
+        out_schema=_PAIRKEY_SCHEMA,
+        emit=add_bucket,
+        batch_format="pandas",
     )
     # distinct pairs (a pair can collide in several bands/buckets)
-    from ray.data.aggregate import Count
-
-    def decode_pairs(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return pa.schema(
-                [
-                    ("doc_a", pa.int64()),
-                    ("doc_b", pa.int64()),
-                    ("n_bands_hit", pa.int64()),
-                ]
-            ).empty_table()
-        a = pc.divide(batch["pairkey"], pa.scalar(2**32, pa.int64()))
-        return pa.table(
-            {
-                "doc_a": a,
-                "doc_b": pc.subtract(
-                    batch["pairkey"], pc.multiply(a, pa.scalar(2**32, pa.int64()))
-                ),
-                "n_bands_hit": pc.cast(batch["n_bands_hit"], pa.int64()),
-            }
-        )
-
-    return (
-        pairs.groupby("pairkey")
-        .aggregate(Count(alias_name="n_bands_hit"))
-        .map_batches(decode_pairs, batch_format="pyarrow", zero_copy_batch=True)
-    )
+    return _distinct_pairs(pairs, "n_bands_hit")
 
 
 def minhash_lsh_candidates(
@@ -792,10 +814,12 @@ def ngram_jaccard_pairs(
             )
             out_h.extend(h for h, _ in ranked[:p])
             out_d.extend([d] * p)
+        sh = pa.array(out_h, pa.int64())
         return pa.table(
             {
-                "sh": pa.array(out_h, pa.int64()),
+                "sh": sh,
                 "doc_id": pa.array(out_d, pa.int64()),
+                "bucket": pc.bit_wise_and(sh, bucket_mask),
             }
         )
 
@@ -806,49 +830,26 @@ def ngram_jaccard_pairs(
         n_docs * 128, target_rows_per_bucket=1_000_000, min_buckets=256
     )
     bucket_mask = pa.scalar(n_buckets - 1, pa.int64())
-
-    prefix = ds.map_batches(prefix_rows, batch_format="pyarrow", zero_copy_batch=True)
-    bucketed = prefix.map_batches(
-        lambda b: b.append_column("bucket", pc.bit_wise_and(b["sh"], bucket_mask)),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
+    prefix_schema = pa.schema(
+        [("sh", pa.int64()), ("doc_id", pa.int64()), ("bucket", pa.int64())]
     )
 
     def emit_pairs_bucket(group: pd.DataFrame) -> pa.Table:
-        # arrow out + combined int64 pair key: see CLAUDE.md's
-        # pandas-blocks-into-aggregate note (5.5x) and the two-key groupby
-        # pathology (26s vs ~1s, measured on the fuzzy pair stream)
+        # arrow out: see CLAUDE.md's pandas-blocks-into-aggregate note (5.5x)
         g = group[["sh", "doc_id"]]
         m = g.merge(g, on="sh", suffixes=("_a", "_b"))
         m = m[m["doc_id_a"] < m["doc_id_b"]]
-        if m.empty:
-            return pa.table({"pairkey": pa.array([], pa.int64())})
-        key = m["doc_id_a"].to_numpy() * np.int64(2**32) + m["doc_id_b"].to_numpy()
-        return pa.table({"pairkey": pa.array(np.unique(key), pa.int64())})
+        return _encode_pairs(m["doc_id_a"].to_numpy(), m["doc_id_b"].to_numpy())
 
-    from ray.data.aggregate import Count
-
-    def decode_pairs(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return pa.schema(
-                [("doc_a", pa.int64()), ("doc_b", pa.int64())]
-            ).empty_table()
-        a = pc.divide(batch["pairkey"], pa.scalar(2**32, pa.int64()))
-        return pa.table(
-            {
-                "doc_a": a,
-                "doc_b": pc.subtract(
-                    batch["pairkey"], pc.multiply(a, pa.scalar(2**32, pa.int64()))
-                ),
-            }
+    candidates = _distinct_pairs(
+        bucket_exchange(
+            ds,
+            emit_pairs_bucket,
+            schema=prefix_schema,
+            out_schema=_PAIRKEY_SCHEMA,
+            emit=prefix_rows,
+            batch_format="pandas",
         )
-
-    candidates = (
-        bucketed.groupby("bucket")
-        .map_groups(emit_pairs_bucket, batch_format="pandas")
-        .groupby("pairkey")
-        .aggregate(Count(alias_name="n_hits"))
-        .map_batches(decode_pairs, batch_format="pyarrow", zero_copy_batch=True)
     )
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     return _verify_pairs_hybrid(
@@ -1011,9 +1012,15 @@ def simhash_near_dups(
             min_buckets=256,
         )
 
-    def explode(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
+    block_schema = pa.schema(
+        [("block_id", pa.int8()), ("block_val", pa.int32()), ("doc_id", pa.int64()),
+         ("simhash", pa.int64()), ("bucket", pa.int64())]
+    )
+    pair_schema = pa.schema(
+        [("doc_a", pa.int64()), ("doc_b", pa.int64()), ("hamming", pa.int64())]
+    )
 
+    def explode(batch: pa.Table) -> pa.Table:
         parts = []
         for j in range(4):
             bucket = pc.bit_wise_and(
@@ -1041,13 +1048,7 @@ def simhash_near_dups(
         m = g.merge(g, on=["block_id", "block_val"], suffixes=("_a", "_b"))
         m = m[m["doc_id_a"] < m["doc_id_b"]]
         if m.empty:
-            return pd.DataFrame(
-                {
-                    "doc_a": pd.Series([], dtype="int64"),
-                    "doc_b": pd.Series([], dtype="int64"),
-                    "hamming": pd.Series([], dtype="int64"),
-                }
-            )
+            return pair_schema.empty_table().to_pandas()
         m = m.drop_duplicates(["doc_id_a", "doc_id_b"])
         ham = _popcount64(
             m["simhash_a"].to_numpy().astype(np.int64).view(np.uint64)
@@ -1064,10 +1065,13 @@ def simhash_near_dups(
 
     from ray.data.aggregate import Min
 
-    pairs = (
-        sigs.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(emit_pairs, batch_format="pandas")
+    pairs = bucket_exchange(
+        sigs,
+        emit_pairs,
+        schema=block_schema,
+        out_schema=pair_schema,
+        emit=explode,
+        batch_format="pandas",
     )
     return (
         pairs.groupby(["doc_a", "doc_b"])
@@ -1158,22 +1162,20 @@ def embedding_near_dup_ds(
     splits it); duplicate discoveries across tables collapse in a final
     pair-key groupby.  ``float64=True`` does the verify matmul in double —
     required when the output cosine feeds a SQL-oracle comparison."""
-    buckets = ds.map_batches(
-        HyperplaneBucketer(dim=dim, n_planes=n_planes, n_tables=n_tables),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
+    keys = ["bucket"] if n_tables == 1 else ["table_id", "bucket"]
+    vec_schema = pa.schema(
+        [("vec_id", pa.int64()), ("embedding", pa.list_(pa.float32())),
+         ("bucket", pa.int64())]
+        + ([("table_id", pa.int32())] if n_tables > 1 else [])
     )
-
-    _EMPTY = {
-        "vec_a": pd.Series([], dtype="int64"),
-        "vec_b": pd.Series([], dtype="int64"),
-        "cosine": pd.Series([], dtype="float64"),
-    }
+    pair_schema = pa.schema(
+        [("vec_a", pa.int64()), ("vec_b", pa.int64()), ("cosine", pa.float64())]
+    )
     dt = np.float64 if float64 else np.float32
 
     def verify_bucket(group: pd.DataFrame) -> pd.DataFrame:
         if len(group) < 2:
-            return pd.DataFrame(_EMPTY)
+            return pair_schema.empty_table().to_pandas()
         ids = group["vec_id"].to_numpy()
         order = np.argsort(ids)
         ids = ids[order]
@@ -1192,8 +1194,15 @@ def embedding_near_dup_ds(
             }
         )
 
-    keys = ["bucket"] if n_tables == 1 else ["table_id", "bucket"]
-    pairs = buckets.groupby(keys).map_groups(verify_bucket, batch_format="pandas")
+    pairs = bucket_exchange(
+        ds,
+        verify_bucket,
+        key=keys,
+        schema=vec_schema,
+        out_schema=pair_schema,
+        emit=HyperplaneBucketer(dim=dim, n_planes=n_planes, n_tables=n_tables),
+        batch_format="pandas",
+    )
     if n_tables > 1:
         from ray.data.aggregate import Max
 
@@ -1405,9 +1414,6 @@ def semantic_dedup_embeddings(
     drop = comp.map_batches(drop_rows, batch_format="pyarrow", zero_copy_batch=True)
 
     def fold(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
-        group = group.cast(u_schema)  # shuffle round-trip type guard
         tag = group["tag"].to_numpy(zero_copy_only=False)
         base = group.filter(pa.array(tag == 0))
         if base.num_rows == 0:
@@ -1421,12 +1427,9 @@ def semantic_dedup_embeddings(
         keep = _pc.invert(_pc.is_in(base["vec_id"], value_set=drop_ids))
         return base.filter(keep).drop_columns(["bucket", "tag"]).cast(out_schema)
 
-    return (
-        vecs.union(drop)
-        .groupby("bucket")
-        .map_groups(fold, batch_format="pyarrow")
-        .sort("vec_id")
-    )
+    return bucket_exchange(
+        vecs.union(drop), fold, schema=u_schema, out_schema=out_schema
+    ).sort("vec_id")
 
 
 def minhash_eval_report(
@@ -1450,18 +1453,21 @@ def minhash_eval_report(
     invariants that ARE provable hold by construction and pytest pins
     them: verified precision == 1e6 exactly (the verify uses the same
     exact Jaccard), recall <= 1e6, candidate recall >= verified recall."""
+    # bounded: near-dup pair ids only (two int64 per pair), one row per qualifying pair
     exact = {
         (int(r["doc_a"]), int(r["doc_b"]))
         for r in ngram_jaccard_pairs(
             sf_dir, threshold=threshold, shingle_k=shingle_k
         ).take_all()
     }
+    # bounded: LSH candidate pair ids only, one row per candidate pair
     cand = {
         (int(r["doc_a"]), int(r["doc_b"]))
         for r in minhash_lsh_candidates(
             sf_dir, num_perm=num_perm, n_bands=n_bands, shingle_k=shingle_k
         ).take_all()
     }
+    # bounded: verified pair ids only, a subset of the candidate pairs
     verified = {
         (int(r["doc_a"]), int(r["doc_b"]))
         for r in minhash_dedup(
@@ -1535,8 +1541,6 @@ def labeled_pair_sample(
     )
 
     def emit(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return union_schema.empty_table()
         ids = pc.cast(batch["doc_id"], pa.int64()).to_numpy(zero_copy_only=False)
         lehmer = ((ids % _LPS_M) * _LPS_A) % _LPS_M
         keep = lehmer % _LPS_RATE_DEN < _LPS_RATE_NUM
@@ -1573,9 +1577,6 @@ def labeled_pair_sample(
     )
 
     def join_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
-        group = group.select(union_schema.names).cast(union_schema)
         anchors = group.filter(pc.equal(group["side"], 0))
         docs = group.filter(pc.equal(group["side"], 1))
         if anchors.num_rows == 0 or docs.num_rows == 0:
@@ -1606,12 +1607,9 @@ def labeled_pair_sample(
             rows["jaccard_ppm"].append(i * 1_000_000 // u)
         return pa.Table.from_pydict(rows, schema=out_schema)
 
-    return (
-        ds.map_batches(emit, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(join_bucket, batch_format="pyarrow")
-        .sort("doc_a")
-    )
+    return bucket_exchange(
+        ds, join_bucket, schema=union_schema, out_schema=out_schema, emit=emit
+    ).sort("doc_a")
 
 
 def labeled_pair_sample_sql(shingle_k: int = 3) -> str:
@@ -1747,11 +1745,13 @@ def ngram_containment_pairs(
             out_h.extend(h for h, _ in ranked)
             out_d.extend([d] * n)
             out_r.extend([1] * n)  # B-side full
+        sh = pa.array(out_h, pa.int64())
         return pa.table(
             {
-                "sh": pa.array(out_h, pa.int64()),
+                "sh": sh,
                 "doc_id": pa.array(out_d, pa.int64()),
                 "role": pa.array(out_r, pa.int64()),
+                "bucket": pc.bit_wise_and(sh, bucket_mask),
             }
         )
 
@@ -1760,49 +1760,27 @@ def ngram_containment_pairs(
         n_docs * 256, target_rows_per_bucket=1_000_000, min_buckets=256
     )
     bucket_mask = pa.scalar(n_buckets - 1, pa.int64())
-
-    rows = ds.map_batches(emit_rows, batch_format="pyarrow", zero_copy_batch=True)
-    bucketed = rows.map_batches(
-        lambda b: b.append_column("bucket", pc.bit_wise_and(b["sh"], bucket_mask)),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
+    row_schema = pa.schema(
+        [("sh", pa.int64()), ("doc_id", pa.int64()), ("role", pa.int64()),
+         ("bucket", pa.int64())]
     )
 
     def emit_pairs_bucket(group: pd.DataFrame) -> pa.Table:
         a = group[group["role"] == 0][["sh", "doc_id"]]
         b = group[group["role"] == 1][["sh", "doc_id"]]
-        if a.empty or b.empty:
-            return pa.table({"pairkey": pa.array([], pa.int64())})
         m = a.merge(b, on="sh", suffixes=("_a", "_b"))
         m = m[m["doc_id_a"] != m["doc_id_b"]]
-        if m.empty:
-            return pa.table({"pairkey": pa.array([], pa.int64())})
-        key = m["doc_id_a"].to_numpy() * np.int64(2**32) + m["doc_id_b"].to_numpy()
-        return pa.table({"pairkey": pa.array(np.unique(key), pa.int64())})
+        return _encode_pairs(m["doc_id_a"].to_numpy(), m["doc_id_b"].to_numpy())
 
-    from ray.data.aggregate import Count
-
-    def decode_pairs(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return pa.schema(
-                [("doc_a", pa.int64()), ("doc_b", pa.int64())]
-            ).empty_table()
-        a = pc.divide(batch["pairkey"], pa.scalar(2**32, pa.int64()))
-        return pa.table(
-            {
-                "doc_a": a,
-                "doc_b": pc.subtract(
-                    batch["pairkey"], pc.multiply(a, pa.scalar(2**32, pa.int64()))
-                ),
-            }
+    candidates = _distinct_pairs(
+        bucket_exchange(
+            ds,
+            emit_pairs_bucket,
+            schema=row_schema,
+            out_schema=_PAIRKEY_SCHEMA,
+            emit=emit_rows,
+            batch_format="pandas",
         )
-
-    candidates = (
-        bucketed.groupby("bucket")
-        .map_groups(emit_pairs_bucket, batch_format="pandas")
-        .groupby("pairkey")
-        .aggregate(Count(alias_name="n_hits"))
-        .map_batches(decode_pairs, batch_format="pyarrow", zero_copy_batch=True)
     )
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     verified = _verify_pairs_hybrid(

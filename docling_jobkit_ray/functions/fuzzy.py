@@ -144,6 +144,7 @@ def fuzzy_prefix_pairs(
         )
         return pa.table({"plen": pc.unique(pc.cast(plen, pa.int64()))})
 
+    # bounded: <= prefix_chars + 1 distinct prefix lengths
     lengths = sorted(
         int(r["plen"])
         for r in (

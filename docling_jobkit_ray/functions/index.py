@@ -346,7 +346,7 @@ def search_corpus(
         matching_pairs, batch_format="pyarrow", zero_copy_batch=True
     ).materialize()  # bounded by the query terms' total df
 
-    df_rows = pairs.groupby("term").count().take_all()  # <= len(terms) rows
+    df_rows = pairs.groupby("term").count().take_all()  # bounded: <= len(terms) rows
     df_terms = pa.array([r["term"] for r in df_rows], pa.string())
     df_counts = np.array([r["count()"] for r in df_rows], dtype=np.int64)
 
@@ -959,6 +959,7 @@ def search_ndcg_report(
             }
         )
 
+    # bounded: the ideal head, max(k, len(ranked_ids)) + k rows
     gain_rows = (
         ds.map_batches(gains, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("doc_id")
@@ -981,6 +982,7 @@ def search_ndcg_report(
                 return gain_schema.empty_table()
             return batch.filter(pc.is_in(batch["doc_id"], value_set=miss_arr))
 
+        # bounded: <= len(missing) rows, the ranked docs outside the ideal head
         more = (
             ds.map_batches(gains, batch_format="pyarrow", zero_copy_batch=True)
             .map_batches(only_missing, batch_format="pyarrow")
@@ -1068,12 +1070,14 @@ def ranking_overlap_rbo(sf_dir: str, *, depth: int = _RBO_DEPTH) -> pa.Table:
     """
     from .webtext import classifier_quality_scores
 
+    # bounded: limit(depth) rows
     a_rows = (
         classifier_quality_scores(sf_dir)
         .sort(["logit_e6", "doc_id"], descending=[True, False])
         .limit(depth)
         .take_all()
     )
+    # bounded: limit(depth) rows
     b_rows = (
         read_table(sf_dir, "documents", columns=["doc_id", "n_chars"])
         .sort(["n_chars", "doc_id"], descending=[True, False])
@@ -1259,6 +1263,7 @@ def more_like_this_tfidf(
         hit = batch.filter(pc.equal(batch["doc_id"], pa.scalar(query_doc_id, pa.int64())))
         return pa.table({"text": hit["text"]})
 
+    # bounded: the query document's row only
     qrows = ds.map_batches(
         pick_query, batch_format="pyarrow", zero_copy_batch=True
     ).take_all()

@@ -736,7 +736,7 @@ def embedding_top_component(
             .map_groups(
                 lambda g: fold(g.drop_columns(["fk"])), batch_format="pyarrow"
             )
-            .take_all()  # <= 64 rows at ANY block count
+            .take_all()  # bounded: <= 64 rows at ANY block count
         )
         return sorted(tuple(r[col]) for r in rows)
 
@@ -947,7 +947,7 @@ FROM srow GROUP BY seed_id ORDER BY seed_id
 
 def kmeans_lloyd_embeddings(
     sf_dir: str, *, k: int = 8, iters: int = 2
-) -> pa.Table:
+) -> ray.data.Dataset:
     """Lloyd k-means over the embeddings table with ``iters`` full centroid
     updates, made cross-engine hash-exact by working on the 1e-6 integer
     grid: components quantize ONCE at the read (round(x * 1e6) -> int64),
@@ -1081,18 +1081,9 @@ def kmeans_lloyd_embeddings(
             }
         )
 
-    out = (
-        qds.map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True)
-        .sort("vec_id")
-        .take_all()
-    )
-    return pa.table(
-        {
-            "vec_id": pa.array([int(r["vec_id"]) for r in out], pa.int64()),
-            "cluster": pa.array([int(r["cluster"]) for r in out], pa.int64()),
-            "dist2": pa.array([int(r["dist2"]) for r in out], pa.int64()),
-        }
-    )
+    return qds.map_batches(
+        finalize, batch_format="pyarrow", zero_copy_batch=True
+    ).sort("vec_id")
 
 
 def kmeans_lloyd_embeddings_sql(k: int = 8, iters: int = 2, dim: int = 64) -> str:
@@ -1153,7 +1144,7 @@ ORDER BY vec_id"""
 
 def kcenter_coreset_embeddings(
     sf_dir: str, *, k: int = 6
-) -> pa.Table:
+) -> ray.data.Dataset:
     """Greedy k-center coreset over the embeddings table (Gonzalez 1985
     farthest-point traversal, the 2-approximation): start from the
     smallest vec_id, then repeatedly select the point FARTHEST from the
@@ -1280,18 +1271,9 @@ def kcenter_coreset_embeddings(
             }
         )
 
-    out = (
-        qds.map_batches(assign, batch_format="pyarrow", zero_copy_batch=True)
-        .sort("vec_id")
-        .take_all()
-    )
-    return pa.table(
-        {
-            "vec_id": pa.array([int(r["vec_id"]) for r in out], pa.int64()),
-            "center_rank": pa.array([int(r["center_rank"]) for r in out], pa.int64()),
-            "d2": pa.array([int(r["d2"]) for r in out], pa.int64()),
-        }
-    )
+    return qds.map_batches(
+        assign, batch_format="pyarrow", zero_copy_batch=True
+    ).sort("vec_id")
 
 
 def kcenter_coreset_embeddings_sql(k: int = 6, dim: int = 64) -> str:

@@ -163,6 +163,7 @@ def approx_distinct(
         key_of=_key_by_sketch_bytes,
     )
     merged = HyperLogLog(p)
+    # bounded: the tree fold leaves <= _FOLD_GROUPS sketch rows
     for row in sketches.take_all():
         merged = merged.merge(HyperLogLog.deserialize(row["sketch"]))
     return merged.estimate()
@@ -277,6 +278,7 @@ def approx_quantiles(
         key_of=_key_by_sketch_bytes,
     )
     merged = TDigest(delta)
+    # bounded: the tree fold leaves <= _FOLD_GROUPS sketch rows
     for row in sketches.take_all():
         merged = merged.merge(TDigest.deserialize(row["sketch"]))
     return {q: merged.quantile(q) for q in qs}
@@ -718,7 +720,7 @@ def user_overlap_estimate(sf_dir: str, *, p: int = 12) -> pa.Table:
 
     folded = _tree_fold_sketches(rows, fold, key_of=key_of)
     a, b = HyperLogLog(p), HyperLogLog(p)
-    for r in folded.take_all():  # <= 256 rows
+    for r in folded.take_all():  # bounded: <= 256 rows
         a = a.merge(HyperLogLog.deserialize(r["a"]))
         b = b.merge(HyperLogLog.deserialize(r["b"]))
     na, nb = a.estimate(), b.estimate()

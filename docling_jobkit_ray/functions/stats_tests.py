@@ -1406,7 +1406,7 @@ def ab_sprt_decision(sf_dir: str) -> pa.Table:
             }
         )
 
-    # pass 2: the crossing day's events only (bounded by one day)
+    # bounded: pass 2 pulls the crossing day's events only (one day)
     day_rows = (
         evs.map_batches(
             lambda b: b.filter(pc.equal(b["day"], pa.scalar(cross_day, pa.int64()))),

@@ -19,6 +19,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from ..exchange import bucket_exchange
 from ..sources.pages import read_table
 
 # ---------------------------------------------------------------------------
@@ -528,6 +529,28 @@ def compression_ratio_scores(sf_dir: str) -> "ray.data.Dataset":
     )
 
 
+def _marker_hits(
+    texts: pa.ChunkedArray | pa.Array, langs: list[str], value_sets: dict
+) -> np.ndarray:
+    """(docs, len(langs)) int64 matrix: per document, how many of its
+    ``[a-z]+`` tokens (lower-cased text) are marker words of each language."""
+    lower = pc.utf8_lower(texts)
+    words = pc.split_pattern_regex(lower, pattern="[^a-z]+")
+    flat = pc.list_flatten(words)
+    lens = pc.list_value_length(words).to_numpy(zero_copy_only=False)
+    doc_idx = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
+    nonempty = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
+    hits = np.zeros((len(lens), len(langs)), np.int64)
+    for j, lang in enumerate(langs):
+        m = pc.is_in(flat, value_set=value_sets[lang]).to_numpy(
+            zero_copy_only=False
+        ) & nonempty
+        hits[:, j] = np.bincount(doc_idx, weights=m, minlength=len(lens)).astype(
+            np.int64
+        )
+    return hits
+
+
 def lang_stopword_profile(sf_dir: str) -> ray.data.Dataset:
     """SQL-portable language-evidence profile: per-document function-word
     hit counts for every language in ``_LANG_MARKERS``, the argmax
@@ -554,26 +577,13 @@ def lang_stopword_profile(sf_dir: str) -> ray.data.Dataset:
     def fn(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0 or batch.num_columns == 0:
             return out_schema.empty_table()
-        lower = pc.utf8_lower(batch["text"])
-        words = pc.split_pattern_regex(lower, pattern="[^a-z]+")
-        flat = pc.list_flatten(words)
-        lens = pc.list_value_length(words).to_numpy(zero_copy_only=False)
-        doc_idx = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
-        nonempty = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
-        hits = np.zeros((len(lens), len(langs)), np.int64)
-        for j, lang in enumerate(langs):
-            m = pc.is_in(flat, value_set=value_sets[lang]).to_numpy(
-                zero_copy_only=False
-            ) & nonempty
-            hits[:, j] = np.bincount(doc_idx, weights=m, minlength=len(lens)).astype(
-                np.int64
-            )
+        hits = _marker_hits(batch["text"], langs, value_sets)
         order = np.argsort(-hits, axis=1, kind="stable")  # lexicographic tie
         best = np.take_along_axis(hits, order[:, :1], axis=1)[:, 0]
         second = (
             np.take_along_axis(hits, order[:, 1:2], axis=1)[:, 0]
             if len(langs) > 1
-            else np.zeros(len(lens), np.int64)
+            else np.zeros(len(hits), np.int64)
         )
         lang_arr = np.asarray(langs, dtype=object)
         pred = np.where(best > 0, lang_arr[order[:, 0]], "und")
@@ -638,20 +648,7 @@ def lang_confusion_matrix(sf_dir: str) -> ray.data.Dataset:
     def fn(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0 or batch.num_columns == 0:
             return out_schema.empty_table()
-        lower = pc.utf8_lower(batch["text"])
-        words = pc.split_pattern_regex(lower, pattern="[^a-z]+")
-        flat = pc.list_flatten(words)
-        lens = pc.list_value_length(words).to_numpy(zero_copy_only=False)
-        doc_idx = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
-        nonempty = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
-        hits = np.zeros((len(lens), len(langs)), np.int64)
-        for j, lang in enumerate(langs):
-            m = pc.is_in(flat, value_set=value_sets[lang]).to_numpy(
-                zero_copy_only=False
-            ) & nonempty
-            hits[:, j] = np.bincount(doc_idx, weights=m, minlength=len(lens)).astype(
-                np.int64
-            )
+        hits = _marker_hits(batch["text"], langs, value_sets)
         order = np.argsort(-hits, axis=1, kind="stable")
         best = np.take_along_axis(hits, order[:, :1], axis=1)[:, 0]
         lang_arr = np.asarray(langs, dtype=object)
@@ -661,7 +658,7 @@ def lang_confusion_matrix(sf_dir: str) -> ray.data.Dataset:
                 {
                     "lang": batch["lang"],
                     "pred_lang": pa.array(pred.astype(str), pa.string()),
-                    "n_docs": pa.array(np.ones(len(lens), np.int64)),
+                    "n_docs": pa.array(np.ones(len(hits), np.int64)),
                 }
             )
             .group_by(["lang", "pred_lang"])
@@ -780,8 +777,6 @@ def weighted_median_doclen_by_lang(sf_dir: str) -> ray.data.Dataset:
     )
 
     def partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return part_schema.empty_table()
         t = (
             pa.table({"lang": batch["lang"], "n_chars": batch["n_chars"]})
             .group_by(["lang", "n_chars"])
@@ -800,9 +795,6 @@ def weighted_median_doclen_by_lang(sf_dir: str) -> ray.data.Dataset:
     )
 
     def per_lang(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
-        group = group.select(part_schema.names).cast(part_schema)
         import pandas as pd
 
         df = (
@@ -823,12 +815,14 @@ def weighted_median_doclen_by_lang(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("lang")
-        .map_groups(per_lang, batch_format="pyarrow")
-        .sort("lang")
-    )
+    return bucket_exchange(
+        ds,
+        per_lang,
+        key="lang",
+        schema=part_schema,
+        out_schema=out_schema,
+        emit=partial,
+    ).sort("lang")
 
 
 WEIGHTED_MEDIAN_DOCLEN_SQL = """
@@ -854,19 +848,25 @@ FROM w GROUP BY lang ORDER BY lang
 _VG_BUCKET_DOCS = 100
 
 
+def _word_parents(texts: pa.ChunkedArray | pa.Array) -> tuple[pa.Array, pa.Array]:
+    """Non-empty ``[a-z]+`` words of the lower-cased ``texts`` and the row
+    index each word came from (``list_parent_indices``)."""
+    lower = pc.utf8_lower(texts)
+    words = pc.split_pattern_regex(lower, pattern="[^a-z]+")
+    words = words.combine_chunks() if isinstance(words, pa.ChunkedArray) else words
+    flat = words.flatten()
+    parent = pc.list_parent_indices(words)
+    keep = pc.greater(pc.utf8_length(flat), 0)
+    return pc.filter(flat, keep), pc.filter(parent, keep)
+
+
 def _word_explode(batch: pa.Table) -> tuple[pa.Array, pa.Array]:
     """Vectorized ``[a-z]+`` token explosion: returns (word, parent doc_id)
     flat arrays with empty-string splits dropped — the corpus-wide ASCII
     token contract shared with top_terms/doc_frequency so DuckDB's
     regexp_extract_all counts the identical tokens."""
-    lower = pc.utf8_lower(batch["text"])
-    words = pc.split_pattern_regex(lower, pattern="[^a-z]+")
-    words = words.combine_chunks() if isinstance(words, pa.ChunkedArray) else words
-    flat = words.flatten()
-    parent = pc.list_parent_indices(words)
-    ids = pc.take(batch["doc_id"].combine_chunks(), parent)
-    keep = pc.greater(pc.utf8_length(flat), 0)
-    return pc.filter(flat, keep), pc.filter(ids, keep)
+    flat, parent = _word_parents(batch["text"])
+    return flat, pc.take(batch["doc_id"].combine_chunks(), parent)
 
 
 def vocab_growth_curve(sf_dir: str) -> pa.Table:
@@ -918,6 +918,7 @@ def vocab_growth_curve(sf_dir: str) -> pa.Table:
             .rename_columns(["bucket", "new_words"])
         )
 
+    # bounded: one row per _VG_BUCKET_DOCS-doc step of the curve (n_docs / 100)
     rows = (
         first.map_batches(bucket_partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("bucket")
@@ -1004,6 +1005,7 @@ def vocab_coverage_curve(sf_dir: str) -> pa.Table:
             .rename_columns(["f", "w"])
         )
 
+    # bounded: one row per distinct corpus word frequency (< sqrt(2 * tokens))
     hist = (
         counts.map_batches(cc_partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("f")
@@ -1089,18 +1091,7 @@ def lexical_diversity_by_lang(sf_dir: str) -> ray.data.Dataset:
     )
 
     def partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return part_schema.empty_table()
-        lower = pc.utf8_lower(batch["text"])
-        words = pc.split_pattern_regex(lower, pattern="[^a-z]+")
-        words = (
-            words.combine_chunks() if isinstance(words, pa.ChunkedArray) else words
-        )
-        flat = words.flatten()
-        parent = pc.list_parent_indices(words)
-        keep = pc.greater(pc.utf8_length(flat), 0)
-        flat = pc.filter(flat, keep)
-        parent = pc.filter(parent, keep)
+        flat, parent = _word_parents(batch["text"])
         if len(flat) == 0:
             return part_schema.empty_table()
         tf = (
@@ -1147,9 +1138,6 @@ def lexical_diversity_by_lang(sf_dir: str) -> ray.data.Dataset:
     )
 
     def finish(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
-        group = group.select(part_schema.names).cast(part_schema)
         n = int(pc.sum(group["n_docs"]).as_py())
         return pa.table(
             {
@@ -1164,12 +1152,9 @@ def lexical_diversity_by_lang(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("lang")
-        .map_groups(finish, batch_format="pyarrow")
-        .sort("lang")
-    )
+    return bucket_exchange(
+        ds, finish, key="lang", schema=part_schema, out_schema=out_schema, emit=partial
+    ).sort("lang")
 
 
 LEXICAL_DIVERSITY_SQL = """
@@ -1226,18 +1211,7 @@ def hapax_rate_by_lang(sf_dir: str) -> ray.data.Dataset:
     )
 
     def partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return pair_schema.empty_table()
-        lower = pc.utf8_lower(batch["text"])
-        words = pc.split_pattern_regex(lower, pattern="[^a-z]+")
-        words = (
-            words.combine_chunks() if isinstance(words, pa.ChunkedArray) else words
-        )
-        flat = words.flatten()
-        parent = pc.list_parent_indices(words)
-        keep = pc.greater(pc.utf8_length(flat), 0)
-        flat = pc.filter(flat, keep)
-        parent = pc.filter(parent, keep)
+        flat, parent = _word_parents(batch["text"])
         if len(flat) == 0:
             return pair_schema.empty_table()
         lang = pc.take(batch["lang"].combine_chunks(), parent)
@@ -1263,9 +1237,6 @@ def hapax_rate_by_lang(sf_dir: str) -> ray.data.Dataset:
     )
 
     def fold_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return fold_schema.empty_table()
-        group = group.select(pair_schema.names).cast(pair_schema)
         tot = (
             pa.table({"lang": group["lang"], "word": group["word"], "n": group["n"]})
             .group_by(["lang", "word"])
@@ -1292,9 +1263,6 @@ def hapax_rate_by_lang(sf_dir: str) -> ray.data.Dataset:
     )
 
     def finish(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
-        group = group.select(fold_schema.names).cast(fold_schema)
         vocab = int(pc.sum(group["vocab"]).as_py())
         hapax = int(pc.sum(group["hapax"]).as_py())
         return pa.table(
@@ -1309,14 +1277,12 @@ def hapax_rate_by_lang(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(fold_bucket, batch_format="pyarrow")
-        .groupby("lang")
-        .map_groups(finish, batch_format="pyarrow")
-        .sort("lang")
+    folded = bucket_exchange(
+        ds, fold_bucket, schema=pair_schema, out_schema=fold_schema, emit=partial
     )
+    return bucket_exchange(
+        folded, finish, key="lang", schema=fold_schema, out_schema=out_schema
+    ).sort("lang")
 
 
 HAPAX_RATE_SQL = """
@@ -1365,8 +1331,6 @@ def prefix_autocomplete_top(sf_dir: str, *, prefix_len: int = 3, k: int = 3) -> 
     )
 
     def partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return pair_schema.empty_table()
         lower = pc.utf8_lower(batch["text"])
         words = pc.split_pattern_regex(lower, pattern="[^a-z]+")
         words = words.combine_chunks() if isinstance(words, pa.ChunkedArray) else words
@@ -1401,9 +1365,6 @@ def prefix_autocomplete_top(sf_dir: str, *, prefix_len: int = 3, k: int = 3) -> 
     )
 
     def fold_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
-        group = group.select(pair_schema.names).cast(pair_schema)
         tot = (
             pa.table({"prefix": group["prefix"], "word": group["word"], "n": group["n"]})
             .group_by(["prefix", "word"])
@@ -1424,12 +1385,9 @@ def prefix_autocomplete_top(sf_dir: str, *, prefix_len: int = 3, k: int = 3) -> 
             }
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(fold_bucket, batch_format="pyarrow")
-        .sort(["prefix", "rank"])
-    )
+    return bucket_exchange(
+        ds, fold_bucket, schema=pair_schema, out_schema=out_schema, emit=partial
+    ).sort(["prefix", "rank"])
 
 
 PREFIX_AUTOCOMPLETE_SQL = """
@@ -1499,10 +1457,9 @@ def corpus_card(sf_dir: str) -> pa.Table:
     # is deterministic cross-process; a 64-bit collision would undercount —
     # the same trade dedup_exact documents)
     n_b = bucket_count(estimate_rows(sf_dir, "documents"), min_buckets=32)
+    hash_schema = pa.schema([("h", pa.int64()), ("bucket", pa.int64())])
 
     def text_hashes(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return pa.schema([("h", pa.int64()), ("bucket", pa.int64())]).empty_table()
         h = pd.util.hash_array(batch["text"].to_pandas().to_numpy()).astype(np.int64)
         h = np.unique(h)
         return pa.table(
@@ -1513,10 +1470,14 @@ def corpus_card(sf_dir: str) -> pa.Table:
         return pd.DataFrame({"n": [int(group["h"].nunique())]})
 
     n_distinct = int(
-        ds.map_batches(text_hashes, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(distinct_in_bucket, batch_format="pandas")
-        .sum("n")
+        bucket_exchange(
+            ds,
+            distinct_in_bucket,
+            schema=hash_schema,
+            out_schema=pa.schema([("n", pa.int64())]),
+            emit=text_hashes,
+            batch_format="pandas",
+        ).sum("n")
     )
 
     def _distinct_count(col: str) -> int:
@@ -1953,16 +1914,7 @@ def light_stem_vocab_by_lang(sf_dir: str) -> ray.data.Dataset:
     )
 
     def partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return pair_schema.empty_table()
-        lower = pc.utf8_lower(batch["text"])
-        words = pc.split_pattern_regex(lower, pattern="[^a-z]+")
-        words = words.combine_chunks() if isinstance(words, pa.ChunkedArray) else words
-        flat = words.flatten()
-        parent = pc.list_parent_indices(words)
-        keep = pc.greater(pc.utf8_length(flat), 0)
-        flat = pc.filter(flat, keep)
-        parent = pc.filter(parent, keep)
+        flat, parent = _word_parents(batch["text"])
         if len(flat) == 0:
             return pair_schema.empty_table()
         lang = pc.take(batch["lang"].combine_chunks(), parent)
@@ -1993,9 +1945,6 @@ def light_stem_vocab_by_lang(sf_dir: str) -> ray.data.Dataset:
     )
 
     def fold_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return fold_schema.empty_table()
-        group = group.select(pair_schema.names).cast(pair_schema)
         # global per-(lang, word) rows (same (lang, word) partials from
         # different batches meet here because bucket = hash(stem))
         words = (
@@ -2064,9 +2013,9 @@ def light_stem_vocab_by_lang(sf_dir: str) -> ray.data.Dataset:
     from ray.data.aggregate import Sum
 
     return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(fold_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            ds, fold_bucket, schema=pair_schema, out_schema=fold_schema, emit=partial
+        )
         .groupby("lang")
         .aggregate(
             Sum("vocab_raw", alias_name="vocab_raw"),
@@ -2138,8 +2087,6 @@ def doc_novelty_scores(sf_dir: str) -> ray.data.Dataset:
     )
 
     def pair_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return pair_schema.empty_table()
         word, ids = _word_explode(batch)
         if len(word) == 0:
             return pair_schema.empty_table()
@@ -2158,9 +2105,6 @@ def doc_novelty_scores(sf_dir: str) -> ray.data.Dataset:
     novel_schema = pa.schema([("nv_id", pa.int64()), ("nw", pa.int64())])
 
     def fold_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return novel_schema.empty_table()
-        group = group.select(pair_schema.names).cast(pair_schema)
         fw = (
             pa.table({"word": group["word"], "fd": group["fd"]})
             .group_by("word")
@@ -2176,9 +2120,13 @@ def doc_novelty_scores(sf_dir: str) -> ray.data.Dataset:
 
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
     novel = (
-        ds.map_batches(pair_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(fold_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            ds,
+            fold_bucket,
+            schema=pair_schema,
+            out_schema=novel_schema,
+            emit=pair_partial,
+        )
         .groupby("nv_id")
         .aggregate(Sum("nw", alias_name="nw"))
     )
@@ -2188,15 +2136,7 @@ def doc_novelty_scores(sf_dir: str) -> ray.data.Dataset:
     def totals(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0 or batch.num_columns == 0:
             return tot_schema.empty_table()
-        lower = pc.utf8_lower(batch["text"])
-        words = pc.split_pattern_regex(lower, pattern="[^a-z]+")
-        words = (
-            words.combine_chunks() if isinstance(words, pa.ChunkedArray) else words
-        )
-        flat = words.flatten()
-        parent = pc.list_parent_indices(words)
-        keep = pc.greater(pc.utf8_length(flat), 0)
-        flat, parent = pc.filter(flat, keep), pc.filter(parent, keep)
+        flat, parent = _word_parents(batch["text"])
         n = np.zeros(batch.num_rows, np.int64)
         if len(flat):
             uniq = (
@@ -2318,6 +2258,7 @@ def naive_bayes_lang_scores(sf_dir: str) -> ray.data.Dataset:
     from ..scale import bucket_count, estimate_rows
 
     # --- priors -----------------------------------------------------------
+    # bounded: one row per language
     lang_rows = (
         read_table(sf_dir, "documents", columns=["lang"])
         .groupby("lang")
@@ -2335,17 +2276,6 @@ def naive_bayes_lang_scores(sf_dir: str) -> ray.data.Dataset:
     wb = bucket_count(n_docs * 60, min_buckets=64)
     db = bucket_count(n_docs, min_buckets=32)
 
-    def _explode(batch: pa.Table):
-        lower = pc.utf8_lower(batch["text"])
-        words = pc.split_pattern_regex(lower, pattern="[^a-z]+")
-        words = (
-            words.combine_chunks() if isinstance(words, pa.ChunkedArray) else words
-        )
-        flat = words.flatten()
-        parent = pc.list_parent_indices(words)
-        keep = pc.greater(pc.utf8_length(flat), 0)
-        return pc.filter(flat, keep), pc.filter(parent, keep)
-
     lang_set = pa.array(langs, pa.string())
 
     def _lang_codes(col) -> np.ndarray:
@@ -2360,9 +2290,7 @@ def naive_bayes_lang_scores(sf_dir: str) -> ray.data.Dataset:
     )
 
     def stat_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return stat_schema.empty_table()
-        flat, parent = _explode(batch)
+        flat, parent = _word_parents(batch["text"])
         if len(flat) == 0:
             return stat_schema.empty_table()
         li = _lang_codes(batch["lang"].combine_chunks())[
@@ -2388,9 +2316,6 @@ def naive_bayes_lang_scores(sf_dir: str) -> ray.data.Dataset:
                             ("vocab", pa.int64())])
 
     def stat_fold(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return den_schema.empty_table()
-        group = group.select(stat_schema.names).cast(stat_schema)
         per_lang = (
             pa.table({"li": group["li"], "tf": group["tf"]})
             .group_by("li")
@@ -2412,13 +2337,13 @@ def naive_bayes_lang_scores(sf_dir: str) -> ray.data.Dataset:
             }
         ).cast(den_schema)
 
-    stat_rows = (
-        read_table(sf_dir, "documents", columns=["lang", "text"])
-        .map_batches(stat_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(stat_fold, batch_format="pyarrow")
-        .take_all()  # bounded: (L + 1) rows per word bucket
-    )
+    stat_rows = bucket_exchange(
+        read_table(sf_dir, "documents", columns=["lang", "text"]),
+        stat_fold,
+        schema=stat_schema,
+        out_schema=den_schema,
+        emit=stat_partial,
+    ).take_all()  # bounded: (L + 1) rows per word bucket
     cl = np.zeros(L, np.int64)
     V = 0
     for r in stat_rows:
@@ -2438,9 +2363,7 @@ def naive_bayes_lang_scores(sf_dir: str) -> ray.data.Dataset:
     )
 
     def score_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return trip_schema.empty_table()
-        flat, parent = _explode(batch)
+        flat, parent = _word_parents(batch["text"])
         if len(flat) == 0:
             return trip_schema.empty_table()
         pn = parent.to_numpy(zero_copy_only=False)
@@ -2472,9 +2395,6 @@ def naive_bayes_lang_scores(sf_dir: str) -> ray.data.Dataset:
     )
 
     def score_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return part_schema.empty_table()
-        group = group.select(trip_schema.names).cast(trip_schema)
         uw = pc.unique(group["w"])
         wc = pc.index_in(group["w"], value_set=uw).to_numpy(
             zero_copy_only=False
@@ -2571,9 +2491,6 @@ def naive_bayes_lang_scores(sf_dir: str) -> ray.data.Dataset:
     )
 
     def finish(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
-        group = group.select(part_schema.names).cast(part_schema)
         doc = np.asarray(group["doc"], np.int64)
         cand = np.asarray(group["cand"], np.int64)
         val = np.asarray(group["val"], np.int64)
@@ -2603,18 +2520,23 @@ def naive_bayes_lang_scores(sf_dir: str) -> ray.data.Dataset:
         ).cast(out_schema)
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "lang", "text"])
-    partials = docs.map_batches(
-        score_partial, batch_format="pyarrow", zero_copy_batch=True
-    ).groupby("bucket").map_groups(score_bucket, batch_format="pyarrow")
+    partials = bucket_exchange(
+        docs,
+        score_bucket,
+        schema=trip_schema,
+        out_schema=part_schema,
+        emit=score_partial,
+    )
     meta = read_table(sf_dir, "documents", columns=["doc_id", "lang"]).map_batches(
         meta_rows, batch_format="pyarrow", zero_copy_batch=True
     )
-    return (
-        partials.union(meta)
-        .groupby("dbucket")
-        .map_groups(finish, batch_format="pyarrow")
-        .sort("doc_id")
-    )
+    return bucket_exchange(
+        partials.union(meta),
+        finish,
+        key="dbucket",
+        schema=part_schema,
+        out_schema=out_schema,
+    ).sort("doc_id")
 
 
 NAIVE_BAYES_LANG_SQL = """
@@ -2699,18 +2621,7 @@ def simpson_diversity_by_lang(sf_dir: str) -> ray.data.Dataset:
     )
 
     def partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return pair_schema.empty_table()
-        lower = pc.utf8_lower(batch["text"])
-        words = pc.split_pattern_regex(lower, pattern="[^a-z]+")
-        words = (
-            words.combine_chunks() if isinstance(words, pa.ChunkedArray) else words
-        )
-        flat = words.flatten()
-        parent = pc.list_parent_indices(words)
-        keep = pc.greater(pc.utf8_length(flat), 0)
-        flat = pc.filter(flat, keep)
-        parent = pc.filter(parent, keep)
+        flat, parent = _word_parents(batch["text"])
         if len(flat) == 0:
             return pair_schema.empty_table()
         lang = pc.take(batch["lang"].combine_chunks(), parent)
@@ -2732,9 +2643,6 @@ def simpson_diversity_by_lang(sf_dir: str) -> ray.data.Dataset:
     )
 
     def fold_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return fold_schema.empty_table()
-        group = group.select(pair_schema.names).cast(pair_schema)
         tot = (
             pa.table({"lang": group["lang"], "word": group["word"], "n": group["n"]})
             .group_by(["lang", "word"])
@@ -2767,9 +2675,6 @@ def simpson_diversity_by_lang(sf_dir: str) -> ray.data.Dataset:
     )
 
     def finish(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
-        group = group.select(fold_schema.names).cast(fold_schema)
         vocab = int(pc.sum(group["vocab"]).as_py())
         toks = int(pc.sum(group["n_tokens"]).as_py())
         rep2 = int(pc.sum(group["rep2"]).as_py())
@@ -2783,14 +2688,12 @@ def simpson_diversity_by_lang(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(fold_bucket, batch_format="pyarrow")
-        .groupby("lang")
-        .map_groups(finish, batch_format="pyarrow")
-        .sort("lang")
+    folded = bucket_exchange(
+        ds, fold_bucket, schema=pair_schema, out_schema=fold_schema, emit=partial
     )
+    return bucket_exchange(
+        folded, finish, key="lang", schema=fold_schema, out_schema=out_schema
+    ).sort("lang")
 
 
 SIMPSON_DIVERSITY_SQL = """
@@ -2844,17 +2747,7 @@ def source_vocab_ablation(sf_dir: str) -> ray.data.Dataset:
     )
 
     def partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return pair_schema.empty_table()
-        lower = pc.utf8_lower(batch["text"])
-        words = pc.split_pattern_regex(lower, pattern="[^a-z]+")
-        words = (
-            words.combine_chunks() if isinstance(words, pa.ChunkedArray) else words
-        )
-        flat = words.flatten()
-        parent = pc.list_parent_indices(words)
-        keep = pc.greater(pc.utf8_length(flat), 0)
-        flat, parent = pc.filter(flat, keep), pc.filter(parent, keep)
+        flat, parent = _word_parents(batch["text"])
         if len(flat) == 0:
             return pair_schema.empty_table()
         src = pc.take(batch["source"].combine_chunks(), parent)
@@ -2877,9 +2770,6 @@ def source_vocab_ablation(sf_dir: str) -> ray.data.Dataset:
     )
 
     def fold_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return fold_schema.empty_table()
-        group = group.select(pair_schema.names).cast(pair_schema)
         pairs = (
             pa.table({"source": group["source"], "word": group["word"]})
             .group_by(["source", "word"])
@@ -2908,9 +2798,6 @@ def source_vocab_ablation(sf_dir: str) -> ray.data.Dataset:
     )
 
     def finish(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
-        group = group.select(fold_schema.names).cast(fold_schema)
         vocab = int(pc.sum(group["vocab"]).as_py())
         excl = int(pc.sum(group["exclusive"]).as_py())
         return pa.table(
@@ -2924,14 +2811,12 @@ def source_vocab_ablation(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(fold_bucket, batch_format="pyarrow")
-        .groupby("source")
-        .map_groups(finish, batch_format="pyarrow")
-        .sort("source")
+    folded = bucket_exchange(
+        ds, fold_bucket, schema=pair_schema, out_schema=fold_schema, emit=partial
     )
+    return bucket_exchange(
+        folded, finish, key="source", schema=fold_schema, out_schema=out_schema
+    ).sort("source")
 
 
 SOURCE_VOCAB_ABLATION_SQL = """

@@ -28,6 +28,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from ..exchange import bucket_exchange
 from ..sources.pages import read_table
 
 __all__ = [
@@ -114,6 +115,8 @@ def _benchmark_gram_set(sf_dir: str, *, n: int, benchmark_mod: int) -> pa.Array:
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
+    # bounded: the benchmark slice (1 in benchmark_mod docs) is the broadcast
+    # side by design
     texts = pa.chunked_array(
         [pa.array([r["text"] for r in bench.take_all()], type=pa.string())]
     )
@@ -215,17 +218,14 @@ def duplicated_passages(
     # partials stay bounded (string-keyed groupby was measured 2.4x slower
     # than hash-bucketed groups at sf0.1: 238k string sort keys vs 64 ints)
     n_buckets = bucket_count(estimate_rows(sf_dir, "documents") * 50, min_buckets=64)
+    part_schema = pa.schema(
+        [("bucket", pa.int64()), ("passage", pa.string()), ("n_docs", pa.int64())]
+    )
 
     def partial(batch: pa.Table) -> pa.Table:
         doc_idx, grams = _gram_frame(batch["text"], n)
         if len(doc_idx) == 0:
-            return pa.table(
-                {
-                    "bucket": pa.array([], pa.int64()),
-                    "passage": pa.array([], pa.string()),
-                    "n_docs": pa.array([], pa.int64()),
-                }
-            )
+            return part_schema.empty_table()
         # distinct (doc, gram) then per-gram partial doc-counts, in Arrow;
         # only the DISTINCT passages (for the deterministic bucket hash)
         # ever materialize as Python strings
@@ -256,14 +256,15 @@ def duplicated_passages(
         agg = group.groupby("passage", sort=False)["n_docs"].sum().reset_index()
         return agg[agg["n_docs"] >= min_docs]
 
-    out = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(fold_bucket, batch_format="pandas")
-        .sort(["n_docs", "passage"], descending=[True, False])
-        .limit(k)
+    out = bucket_exchange(
+        ds,
+        fold_bucket,
+        schema=part_schema,
+        out_schema=part_schema.remove(0),
+        emit=partial,
+        batch_format="pandas",
     )
-    return out
+    return out.sort(["n_docs", "passage"], descending=[True, False]).limit(k)
 
 
 DUPLICATED_PASSAGES_SQL = """
@@ -518,6 +519,21 @@ GOPHER_MAX_MEAN_WORD_LEN = 5.2
 GOPHER_MIN_STOP_HITS = 1
 
 
+def _stop_hits(lower: pa.ChunkedArray | pa.Array, stops: pa.Array) -> np.ndarray:
+    """Per-row count of the ``[a-z]+`` tokens of the lower-cased text that
+    are in ``stops`` — the SAME token stream as the word count (not \\b
+    word boundaries, which disagree with [a-z]+ tokenization next to
+    digits)."""
+    words = pc.split_pattern_regex(lower, pattern="[^a-z]+")
+    flat = pc.list_flatten(words)
+    lens = pc.list_value_length(words).to_numpy(zero_copy_only=False)
+    hit = pc.and_(
+        pc.is_in(flat, value_set=stops), pc.not_equal(flat, "")
+    ).to_numpy(zero_copy_only=False)
+    doc_idx = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
+    return np.bincount(doc_idx, weights=hit, minlength=len(lens)).astype(np.int64)
+
+
 def gopher_quality_docs(sf_dir: str, *, sort: bool = True) -> ray.data.Dataset:
     """The Gopher quality-rule filter (Rae et al. 2021 §A1.1) as a
     MATERIALIZED kept corpus: word-count window, mean-word-length window,
@@ -539,18 +555,7 @@ def gopher_quality_docs(sf_dir: str, *, sort: bool = True) -> ray.data.Dataset:
             pc.count_substring_regex(lower, pattern="[a-z]+"), pa.int64()
         )
         alpha = pc.cast(pc.count_substring_regex(lower, pattern="[a-z]"), pa.int64())
-        # stop hits over the SAME token stream (not \b word boundaries,
-        # which disagree with [a-z]+ tokenization next to digits)
-        words = pc.split_pattern_regex(lower, pattern="[^a-z]+")
-        flat = pc.list_flatten(words)
-        lens = pc.list_value_length(words).to_numpy(zero_copy_only=False)
-        hit = pc.and_(
-            pc.is_in(flat, value_set=stops), pc.not_equal(flat, "")
-        ).to_numpy(zero_copy_only=False)
-        doc_idx = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
-        stop_hits = np.bincount(doc_idx, weights=hit, minlength=len(lens)).astype(
-            np.int64
-        )
+        stop_hits = _stop_hits(lower, stops)
         nw = n_words.to_numpy(zero_copy_only=False)
         al = alpha.to_numpy(zero_copy_only=False)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -659,14 +664,7 @@ def _classifier_ze6(texts: pa.ChunkedArray | pa.Array) -> np.ndarray:
     nu = pc.cast(
         pc.count_substring_regex(texts, pattern="[A-Z]"), pa.int64()
     ).to_numpy(zero_copy_only=False)
-    words = pc.split_pattern_regex(lower, pattern="[^a-z]+")
-    flat = pc.list_flatten(words)
-    lens = pc.list_value_length(words).to_numpy(zero_copy_only=False)
-    hit = pc.and_(
-        pc.is_in(flat, value_set=stops), pc.not_equal(flat, "")
-    ).to_numpy(zero_copy_only=False)
-    doc_idx = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
-    sh = np.bincount(doc_idx, weights=hit, minlength=len(lens)).astype(np.int64)
+    sh = _stop_hits(lower, stops)
     # FIXED evaluation order — mirrors the SQL parenthesization exactly
     z = QC_BIAS + QC_W_N_WORDS * nw.astype(np.float64)
     z = z + QC_W_ALPHA * al.astype(np.float64)
@@ -865,9 +863,6 @@ def term_rarity_scores(sf_dir: str, *, min_count: int = 5) -> ray.data.Dataset:
         # a word hashes to exactly one bucket, so the in-bucket tf-sum IS
         # its global corpus frequency; emit per-doc partials keyed for the
         # doc-bucket fold
-        if group.num_rows == 0 or group.num_columns == 0:
-            return partial_schema.empty_table()
-        group = group.cast(triple_schema)  # pandas shuffle round-trip guard
         freq = group.group_by("w").aggregate([("tf", "sum")])
         fw = freq["w"].combine_chunks() if isinstance(freq["w"], pa.ChunkedArray) else freq["w"]
         fc = freq["tf_sum"].combine_chunks() if isinstance(
@@ -905,9 +900,6 @@ def term_rarity_scores(sf_dir: str, *, min_count: int = 5) -> ray.data.Dataset:
         )
 
     def fold_doc_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
-        group = group.cast(partial_schema)
         return (
             group.drop_columns(["dbucket"])
             .group_by("doc_id")
@@ -916,14 +908,20 @@ def term_rarity_scores(sf_dir: str, *, min_count: int = 5) -> ray.data.Dataset:
             .cast(out_schema)
         )
 
-    return (
-        ds.map_batches(doc_term_triples, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(score_word_bucket, batch_format="pyarrow")
-        .groupby("dbucket")
-        .map_groups(fold_doc_bucket, batch_format="pyarrow")
-        .sort("doc_id")
+    partials = bucket_exchange(
+        ds,
+        score_word_bucket,
+        schema=triple_schema,
+        out_schema=partial_schema,
+        emit=doc_term_triples,
     )
+    return bucket_exchange(
+        partials,
+        fold_doc_bucket,
+        key="dbucket",
+        schema=partial_schema,
+        out_schema=out_schema,
+    ).sort("doc_id")
 
 
 def term_rarity_scores_sql(min_count: int = 5) -> str:
@@ -960,6 +958,7 @@ def lang_balanced_sample(sf_dir: str) -> ray.data.Dataset:
     resharding and doc_id magnitude.  Plan shape: a tiny
     ``groupby(lang).count()`` (cardinality = language inventory), rates
     broadcast via closure, then one embarrassingly-parallel filter."""
+    # bounded: one row per language
     counts_rows = (
         read_table(sf_dir, "documents", columns=["lang"])
         .groupby("lang")
@@ -1077,9 +1076,6 @@ def epoch_shuffle_order(sf_dir: str) -> ray.data.Dataset:
     )
 
     def rank_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
-        group = group.select(key_schema.names).cast(key_schema)
         g = group.sort_by([("h", "ascending"), ("doc_id", "ascending")])
         base = offsets[g["bucket"][0].as_py()]
         return pa.table(
@@ -1092,13 +1088,13 @@ def epoch_shuffle_order(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return (
-        read_table(sf_dir, "documents", columns=["doc_id", "lang"])
-        .map_batches(add_key, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(rank_bucket, batch_format="pyarrow")
-        .sort("order_idx")
-    )
+    return bucket_exchange(
+        read_table(sf_dir, "documents", columns=["doc_id", "lang"]),
+        rank_bucket,
+        schema=key_schema,
+        out_schema=out_schema,
+        emit=add_key,
+    ).sort("order_idx")
 
 
 EPOCH_SHUFFLE_ORDER_SQL = f"""
@@ -1205,9 +1201,6 @@ def curated_corpus(sf_dir: str) -> ray.data.Dataset:
     )
 
     def fold(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
-        group = group.cast(u_schema)  # shuffle round-trip type guard
         tag = group["tag"].to_numpy(zero_copy_only=False)
         base_t = group.filter(pa.array(tag == 0))
         if base_t.num_rows == 0:
@@ -1224,12 +1217,13 @@ def curated_corpus(sf_dir: str) -> ray.data.Dataset:
         keep = pc.and_(keep, pc.invert(pc.is_in(ids, value_set=ids_of(3))))
         return base_t.filter(keep).drop_columns(["dbucket", "tag"]).cast(out_schema)
 
-    return (
-        base.union(gopher, winners, contam)
-        .groupby("dbucket")
-        .map_groups(fold, batch_format="pyarrow")
-        .sort("doc_id")
-    )
+    return bucket_exchange(
+        base.union(gopher, winners, contam),
+        fold,
+        key="dbucket",
+        schema=u_schema,
+        out_schema=out_schema,
+    ).sort("doc_id")
 
 
 CURATED_CORPUS_SQL = f"""
@@ -1345,9 +1339,6 @@ def doc_signature_terms(sf_dir: str) -> ray.data.Dataset:
         # a word lives in exactly one bucket, so the in-bucket distinct-doc
         # count per word IS its global document frequency; each triple
         # carries its df onward, re-keyed for the per-doc argmax
-        if group.num_rows == 0 or group.num_columns == 0:
-            return cand_schema.empty_table()
-        group = group.cast(triple_schema)
         df = (
             group.group_by("w")
             .aggregate([([], "count_all")])
@@ -1372,9 +1363,6 @@ def doc_signature_terms(sf_dir: str) -> ray.data.Dataset:
         )
 
     def argmax_per_doc(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
-        group = group.cast(cand_schema)
         ordered = group.sort_by(
             [
                 ("doc_id", "ascending"),
@@ -1392,14 +1380,16 @@ def doc_signature_terms(sf_dir: str) -> ray.data.Dataset:
             .cast(out_schema)
         )
 
-    return (
-        ds.map_batches(doc_term_triples, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(attach_df, batch_format="pyarrow")
-        .groupby("dbucket")
-        .map_groups(argmax_per_doc, batch_format="pyarrow")
-        .sort("doc_id")
+    cands = bucket_exchange(
+        ds,
+        attach_df,
+        schema=triple_schema,
+        out_schema=cand_schema,
+        emit=doc_term_triples,
     )
+    return bucket_exchange(
+        cands, argmax_per_doc, key="dbucket", schema=cand_schema, out_schema=out_schema
+    ).sort("doc_id")
 
 
 DOC_SIGNATURE_TERMS_SQL = """
@@ -1665,15 +1655,15 @@ def balanced_eval_sample(sf_dir: str, *, k: int = 25) -> ray.data.Dataset:
         )
         return _topk(t)
 
-    def fold(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
-        return _topk(group.select(out_schema.names).cast(out_schema))
-
     return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("lang")
-        .map_groups(fold, batch_format="pyarrow")
+        bucket_exchange(
+            ds,
+            _topk,
+            key="lang",
+            schema=out_schema,
+            out_schema=out_schema,
+            emit=partial,
+        )
         .select_columns(["doc_id", "lang"])
         .sort(["lang", "doc_id"])
     )
@@ -1967,9 +1957,6 @@ def bigram_fluency_scores(sf_dir: str) -> ray.data.Dataset:
         )
 
     def score_prefix_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return partial_schema.empty_table()
-        group = group.select(quad_schema.names).cast(quad_schema)
         bg = (
             group.group_by(["p", "w"])
             .aggregate([("tf", "sum")])
@@ -2019,9 +2006,6 @@ def bigram_fluency_scores(sf_dir: str) -> ray.data.Dataset:
         )
 
     def fold_doc_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
-        group = group.select(partial_schema.names).cast(partial_schema)
         return (
             group.drop_columns(["dbucket"])
             .group_by("doc_id")
@@ -2034,14 +2018,20 @@ def bigram_fluency_scores(sf_dir: str) -> ray.data.Dataset:
             .cast(out_schema)
         )
 
-    return (
-        ds.map_batches(quad_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(score_prefix_bucket, batch_format="pyarrow")
-        .groupby("dbucket")
-        .map_groups(fold_doc_bucket, batch_format="pyarrow")
-        .sort("doc_id")
+    partials = bucket_exchange(
+        ds,
+        score_prefix_bucket,
+        schema=quad_schema,
+        out_schema=partial_schema,
+        emit=quad_partial,
     )
+    return bucket_exchange(
+        partials,
+        fold_doc_bucket,
+        key="dbucket",
+        schema=partial_schema,
+        out_schema=out_schema,
+    ).sort("doc_id")
 
 
 BIGRAM_FLUENCY_SQL = """
@@ -2147,9 +2137,6 @@ def dup_span_stats(sf_dir: str, *, n: int = 3) -> ray.data.Dataset:
         )
 
     def mark_dups(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return union_schema.empty_table()
-        group = group.select(triple_schema.names).cast(triple_schema)
         dd = group.group_by("g").aggregate([("doc_id", "count_distinct")])
         gv = dd["g"].combine_chunks() if isinstance(dd["g"], pa.ChunkedArray) else dd["g"]
         cv = dd["doc_id_count_distinct"]
@@ -2190,9 +2177,6 @@ def dup_span_stats(sf_dir: str, *, n: int = 3) -> ray.data.Dataset:
         )
 
     def fold_doc_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
-        group = group.select(union_schema.names).cast(union_schema)
         totals = group.filter(pc.equal(group["side"], 0))
         dups = group.filter(pc.equal(group["side"], 1)).sort_by(
             [("doc_id", "ascending"), ("pos", "ascending")]
@@ -2233,10 +2217,12 @@ def dup_span_stats(sf_dir: str, *, n: int = 3) -> ray.data.Dataset:
         )
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    dups = (
-        docs.map_batches(gram_triples, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(mark_dups, batch_format="pyarrow")
+    dups = bucket_exchange(
+        docs,
+        mark_dups,
+        schema=triple_schema,
+        out_schema=union_schema,
+        emit=gram_triples,
     )
     # second pruned read, NOT a branch of `docs`: branching an un-materialized
     # Dataset re-executes the parent (CLAUDE.md), and totals only needs the
@@ -2244,12 +2230,13 @@ def dup_span_stats(sf_dir: str, *, n: int = 3) -> ray.data.Dataset:
     totals = read_table(sf_dir, "documents", columns=["doc_id", "text"]).map_batches(
         totals_side, batch_format="pyarrow", zero_copy_batch=True
     )
-    return (
-        dups.union(totals)
-        .groupby("dbucket")
-        .map_groups(fold_doc_bucket, batch_format="pyarrow")
-        .sort("doc_id")
-    )
+    return bucket_exchange(
+        dups.union(totals),
+        fold_doc_bucket,
+        key="dbucket",
+        schema=union_schema,
+        out_schema=out_schema,
+    ).sort("doc_id")
 
 
 def dup_span_stats_sql(n: int = 3) -> str:
@@ -2529,8 +2516,6 @@ def benchmark_leakage_report(
     )
 
     def emit(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return union_schema.empty_table()
         doc_idx, grams = _gram_frame(batch["text"], n)
         if len(doc_idx) == 0:
             return union_schema.empty_table()
@@ -2580,9 +2565,6 @@ def benchmark_leakage_report(
         )
 
     def fold_gram_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return partial_schema.empty_table()
-        group = group.cast(union_schema)  # pandas shuffle round-trip guard
         ev = group.filter(pc.equal(group["side"], 1))
         if ev.num_rows == 0:
             return partial_schema.empty_table()
@@ -2626,9 +2608,13 @@ def benchmark_leakage_report(
     from ray.data.aggregate import Sum
 
     return (
-        ds.map_batches(emit, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(fold_gram_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            ds,
+            fold_gram_bucket,
+            schema=union_schema,
+            out_schema=partial_schema,
+            emit=emit,
+        )
         .groupby("doc_id")
         .aggregate(Sum("n_grams", alias_name="n_grams"), Sum("n_leaked", alias_name="n_leaked"))
         .map_batches(finalize, batch_format="pyarrow")
@@ -3289,14 +3275,7 @@ def _classifier_gopher_scores(sf_dir: str) -> ray.data.Dataset:
         nu = pc.cast(
             pc.count_substring_regex(batch["text"], pattern="[A-Z]"), pa.int64()
         ).to_numpy(zero_copy_only=False)
-        words = pc.split_pattern_regex(lower, pattern="[^a-z]+")
-        flat = pc.list_flatten(words)
-        lens = pc.list_value_length(words).to_numpy(zero_copy_only=False)
-        hit = pc.and_(
-            pc.is_in(flat, value_set=stops), pc.not_equal(flat, "")
-        ).to_numpy(zero_copy_only=False)
-        doc_idx = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
-        sh = np.bincount(doc_idx, weights=hit, minlength=len(lens)).astype(np.int64)
+        sh = _stop_hits(lower, stops)
         with np.errstate(divide="ignore", invalid="ignore"):
             mwl = np.where(nw > 0, al / np.maximum(nw, 1), 0.0)
         keep = (
@@ -3470,16 +3449,11 @@ def classifier_auc_vs_gopher(sf_dir: str) -> pa.Table:
     n_buckets = bucket_count(estimate_rows(sf_dir, "documents"), min_buckets=16)
     # ceil width so bucket ids land in [0, n_buckets)
     width = max(1, -((lo - hi - 1) // n_buckets))
+    score_schema = pa.schema(
+        [("bucket", pa.int64()), ("logit_e6", pa.int64()), ("keep", pa.int64())]
+    )
 
     def assign(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return pa.schema(
-                [
-                    ("bucket", pa.int64()),
-                    ("logit_e6", pa.int64()),
-                    ("keep", pa.int64()),
-                ]
-            ).empty_table()
         b = pc.divide(pc.subtract(batch["logit_e6"], lo), width)
         return pa.table(
             {
@@ -3499,17 +3473,6 @@ def classifier_auc_vs_gopher(sf_dir: str) -> pa.Table:
     )
 
     def fold(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return part_schema.empty_table()
-        group = group.cast(
-            pa.schema(
-                [
-                    ("bucket", pa.int64()),
-                    ("logit_e6", pa.int64()),
-                    ("keep", pa.int64()),
-                ]
-            )
-        )
         logit = group["logit_e6"].to_numpy(zero_copy_only=False)
         keep = group["keep"].to_numpy(zero_copy_only=False)
         order = np.argsort(logit, kind="stable")
@@ -3532,12 +3495,9 @@ def classifier_auc_vs_gopher(sf_dir: str) -> pa.Table:
             }
         )
 
-    parts = (
-        scores.map_batches(assign, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(fold, batch_format="pyarrow")
-        .take_all()
-    )  # <= n_buckets rows of 4 ints — the bounded driver state
+    parts = bucket_exchange(
+        scores, fold, schema=score_schema, out_schema=part_schema, emit=assign
+    ).take_all()  # bounded: <= n_buckets rows of 4 ints, the driver state
     parts.sort(key=lambda r: r["bucket"])
     u2_total, cumneg, n_pos, n_neg = 0, 0, 0, 0
     for r in parts:
@@ -3773,16 +3733,11 @@ def score_drift_ks(sf_dir: str) -> pa.Table:
         raise ValueError("score_drift_ks: one side of the doc_id-parity split is empty")
     n_buckets = bucket_count(estimate_rows(sf_dir, "documents"), min_buckets=16)
     width = max(1, -((lo - hi - 1) // n_buckets))
+    side_schema = pa.schema(
+        [("bucket", pa.int64()), ("logit_e6", pa.int64()), ("side", pa.int64())]
+    )
 
     def assign(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return pa.schema(
-                [
-                    ("bucket", pa.int64()),
-                    ("logit_e6", pa.int64()),
-                    ("side", pa.int64()),
-                ]
-            ).empty_table()
         return batch.add_column(
             0,
             "bucket",
@@ -3804,17 +3759,6 @@ def score_drift_ks(sf_dir: str) -> pa.Table:
     )
 
     def fold(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return part_schema.empty_table()
-        group = group.cast(
-            pa.schema(
-                [
-                    ("bucket", pa.int64()),
-                    ("logit_e6", pa.int64()),
-                    ("side", pa.int64()),
-                ]
-            )
-        )
         v = group["logit_e6"].to_numpy(zero_copy_only=False)
         s = group["side"].to_numpy(zero_copy_only=False)
         order = np.argsort(v, kind="stable")
@@ -3843,12 +3787,9 @@ def score_drift_ks(sf_dir: str) -> pa.Table:
         )
 
     rows = sorted(
-        (
-            sided.map_batches(assign, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("bucket")
-            .map_groups(fold, batch_format="pyarrow")
-            .take_all()  # bounded: one row per value-range bucket
-        ),
+        bucket_exchange(
+            sided, fold, schema=side_schema, out_schema=part_schema, emit=assign
+        ).take_all(),  # bounded: one row per value-range bucket
         key=lambda r: r["bucket"],
     )
     o_ref = o_cur = 0
@@ -4366,8 +4307,8 @@ def term_dispersion_dp(sf_dir: str, *, k: int = _DP_TOP_K) -> pa.Table:
             pc.is_in(batch["word"], value_set=word_set)
         )
 
-    detail = folded.map_batches(keep_top, batch_format="pyarrow").take_all()
     # bounded: k x |sources| rows
+    detail = folded.map_batches(keep_top, batch_format="pyarrow").take_all()
     f_of: dict[str, dict[str, int]] = {}
     for r in detail:
         f_of.setdefault(r["word"], {})[r["source"]] = int(r["n"])
@@ -4583,6 +4524,42 @@ FROM agg WHERE n > 0 ORDER BY doc_id
 _HEAD_WORDS = 8
 
 
+def _doc_heads(texts: pa.ChunkedArray | pa.Array, head_words: int) -> pa.Array:
+    """Head fingerprint per document: its first ``head_words`` non-empty
+    ``[a-z]+`` words of the lower-cased text, space-joined (vectorized:
+    one split, one within-doc rank, one list rebuild)."""
+    lower = pc.utf8_lower(texts)
+    words = pc.split_pattern_regex(lower, pattern="[^a-z]+")
+    flat = pc.list_flatten(words)
+    lens = pc.list_value_length(words).to_numpy(zero_copy_only=False)
+    doc_idx = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
+    nonempty = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
+    flat_f = flat.filter(pa.array(nonempty))
+    doc_f = doc_idx[nonempty]
+    # rank of each word within its doc run (runs are contiguous)
+    new_seg = (
+        np.concatenate([[True], doc_f[1:] != doc_f[:-1]])
+        if len(doc_f)
+        else np.array([], bool)
+    )
+    seg_start = (
+        np.maximum.accumulate(np.where(new_seg, np.arange(len(doc_f)), 0))
+        if len(doc_f)
+        else np.array([], np.int64)
+    )
+    rank = np.arange(len(doc_f)) - seg_start
+    keep = rank < head_words
+    flat_k = flat_f.filter(pa.array(keep))
+    doc_k = doc_f[keep]
+    per_doc = np.bincount(doc_k, minlength=len(lens)).astype(np.int64)
+    offsets = np.concatenate([[0], np.cumsum(per_doc)]).astype(np.int32)
+    lst = pa.ListArray.from_arrays(
+        pa.array(offsets, pa.int32()),
+        flat_k.combine_chunks() if isinstance(flat_k, pa.ChunkedArray) else flat_k,
+    )
+    return pc.binary_join(lst, " ")
+
+
 def head_dup_matrix(
     sf_dir: str, *, head_words: int = _HEAD_WORDS, n_buckets: int | None = None
 ) -> ray.data.Dataset:
@@ -4631,35 +4608,8 @@ def head_dup_matrix(
         ]
     )
 
-    def heads_of(texts) -> pa.Array:
-        lower = pc.utf8_lower(texts)
-        words = pc.split_pattern_regex(lower, pattern="[^a-z]+")
-        flat = pc.list_flatten(words)
-        lens = pc.list_value_length(words).to_numpy(zero_copy_only=False)
-        doc_idx = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
-        nonempty = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
-        flat_f = flat.filter(pa.array(nonempty))
-        doc_f = doc_idx[nonempty]
-        # rank of each word within its doc run (runs are contiguous)
-        new_seg = np.concatenate([[True], doc_f[1:] != doc_f[:-1]]) if len(doc_f) else np.array([], bool)
-        seg_start = (
-            np.maximum.accumulate(np.where(new_seg, np.arange(len(doc_f)), 0))
-            if len(doc_f)
-            else np.array([], np.int64)
-        )
-        rank = np.arange(len(doc_f)) - seg_start
-        keep = rank < head_words
-        flat_k = flat_f.filter(pa.array(keep))
-        doc_k = doc_f[keep]
-        per_doc = np.bincount(doc_k, minlength=len(lens)).astype(np.int64)
-        offsets = np.concatenate([[0], np.cumsum(per_doc)]).astype(np.int32)
-        lst = pa.ListArray.from_arrays(pa.array(offsets, pa.int32()), flat_k.combine_chunks() if isinstance(flat_k, pa.ChunkedArray) else flat_k)
-        return pc.binary_join(lst, " ")
-
     def partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return hs_schema.empty_table()
-        heads = heads_of(batch["text"])
+        heads = _doc_heads(batch["text"], head_words)
         t = (
             pa.table({"head": heads, "source": batch["source"]})
             .group_by(["head", "source"])
@@ -4679,9 +4629,6 @@ def head_dup_matrix(
         )
 
     def cells_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return cell_schema.empty_table()
-        group = group.select(hs_schema.names).cast(hs_schema)
         df = (
             group.select(["head", "source", "c"])
             .to_pandas()
@@ -4711,9 +4658,9 @@ def head_dup_matrix(
         )
 
     return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(cells_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            ds, cells_bucket, schema=hs_schema, out_schema=cell_schema, emit=partial
+        )
         .groupby(["source_a", "source_b"])
         .aggregate(
             Sum(on="n_pairs", alias_name="n_pairs"),
@@ -4950,39 +4897,7 @@ def head_dup_rate_by_source(
     cnt_schema = pa.schema([("source", pa.string()), ("n_heads", pa.int64())])
 
     def heads_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return hs_schema.empty_table()
-        # reuse the head-fingerprint kernel from head_dup_matrix via a
-        # local import-free closure: the same vectorized first-k-words path
-        lower = pc.utf8_lower(batch["text"])
-        words = pc.split_pattern_regex(lower, pattern="[^a-z]+")
-        flat = pc.list_flatten(words)
-        lens = pc.list_value_length(words).to_numpy(zero_copy_only=False)
-        doc_idx = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
-        nonempty = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
-        flat_f = flat.filter(pa.array(nonempty))
-        doc_f = doc_idx[nonempty]
-        new_seg = (
-            np.concatenate([[True], doc_f[1:] != doc_f[:-1]])
-            if len(doc_f)
-            else np.array([], bool)
-        )
-        seg_start = (
-            np.maximum.accumulate(np.where(new_seg, np.arange(len(doc_f)), 0))
-            if len(doc_f)
-            else np.array([], np.int64)
-        )
-        rank = np.arange(len(doc_f)) - seg_start
-        keep = rank < head_words
-        flat_k = flat_f.filter(pa.array(keep))
-        doc_k = doc_f[keep]
-        per_doc = np.bincount(doc_k, minlength=len(lens)).astype(np.int64)
-        offsets = np.concatenate([[0], np.cumsum(per_doc)]).astype(np.int32)
-        lst = pa.ListArray.from_arrays(
-            pa.array(offsets, pa.int32()),
-            flat_k.combine_chunks() if isinstance(flat_k, pa.ChunkedArray) else flat_k,
-        )
-        heads = pc.binary_join(lst, " ")
+        heads = _doc_heads(batch["text"], head_words)
         t = (
             pa.table({"head": heads, "source": batch["source"]})
             .group_by(["head", "source"])
@@ -4996,9 +4911,6 @@ def head_dup_rate_by_source(
         )
 
     def distinct_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return cnt_schema.empty_table()
-        group = group.select(hs_schema.names).cast(hs_schema)
         g = group.select(["head", "source"]).group_by(["head", "source"]).aggregate([])
         return (
             g.group_by("source")
@@ -5007,9 +4919,13 @@ def head_dup_rate_by_source(
         )
 
     heads = (
-        ds.map_batches(heads_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(distinct_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            ds,
+            distinct_bucket,
+            schema=hs_schema,
+            out_schema=cnt_schema,
+            emit=heads_partial,
+        )
         .groupby("source")
         .aggregate(Sum(on="n_heads", alias_name="n_heads"))
         .take_all()  # bounded: one row per source
@@ -5106,8 +5022,6 @@ def epoch_shuffle_autocorr(sf_dir: str) -> pa.Table:
     )
 
     def add_key(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return key_schema.empty_table()
         ids = batch["doc_id"].to_numpy()
         h = ((ids % _LEHMER_M) * _LEHMER_A) % _LEHMER_M
         return pa.table(
@@ -5130,9 +5044,6 @@ def epoch_shuffle_autocorr(sf_dir: str) -> pa.Table:
     )
 
     def fold_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return part_schema.empty_table()
-        group = group.select(key_schema.names).cast(key_schema)
         g = group.sort_by([("h", "ascending"), ("doc_id", "ascending")])
         langs = g["lang"].to_numpy(zero_copy_only=False)
         same = int((langs[1:] == langs[:-1]).sum()) if len(langs) > 1 else 0
@@ -5146,12 +5057,9 @@ def epoch_shuffle_autocorr(sf_dir: str) -> pa.Table:
             }
         )
 
-    parts = (
-        ds.map_batches(add_key, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(fold_bucket, batch_format="pyarrow")
-        .take_all()  # bounded: one row per nonempty bucket
-    )
+    parts = bucket_exchange(
+        ds, fold_bucket, schema=key_schema, out_schema=part_schema, emit=add_key
+    ).take_all()  # bounded: one row per nonempty bucket
     parts.sort(key=lambda r: int(r["bucket"]))
     n_total = sum(int(r["n"]) for r in parts)
     same = sum(int(r["same_within"]) for r in parts)
@@ -5159,6 +5067,7 @@ def epoch_shuffle_autocorr(sf_dir: str) -> pa.Table:
         if prev["last_lang"] == nxt["first_lang"]:
             same += 1
 
+    # bounded: one row per language
     lang_rows = (
         read_table(sf_dir, "documents", columns=["lang"])
         .groupby("lang")
@@ -5239,6 +5148,7 @@ def interleaved_curriculum(sf_dir: str) -> ray.data.Dataset:
     n = estimate_rows(sf_dir, "documents")
     nb = bucket_count(n, min_buckets=32)
 
+    # bounded: one row per language
     lang_rows = (
         read_table(sf_dir, "documents", columns=["lang"])
         .groupby("lang")
@@ -5298,8 +5208,6 @@ def interleaved_curriculum(sf_dir: str) -> ray.data.Dataset:
     )
 
     def add_key(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return key_schema.empty_table()
         ids = batch["doc_id"].to_numpy()
         h, bucket = _hb(ids)
         li = (
@@ -5321,9 +5229,6 @@ def interleaved_curriculum(sf_dir: str) -> ray.data.Dataset:
     )
 
     def rank_stratum(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
-        group = group.select(key_schema.names).cast(key_schema)
         g = group.sort_by([("h", "ascending"), ("doc_id", "ascending")])
         skey = g["skey"][0].as_py()
         li = skey // nb
@@ -5337,13 +5242,14 @@ def interleaved_curriculum(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return (
-        read_table(sf_dir, "documents", columns=["doc_id", "lang"])
-        .map_batches(add_key, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("skey")
-        .map_groups(rank_stratum, batch_format="pyarrow")
-        .sort("order_key")
-    )
+    return bucket_exchange(
+        read_table(sf_dir, "documents", columns=["doc_id", "lang"]),
+        rank_stratum,
+        key="skey",
+        schema=key_schema,
+        out_schema=out_schema,
+        emit=add_key,
+    ).sort("order_key")
 
 
 INTERLEAVED_CURRICULUM_SQL = f"""
@@ -5382,6 +5288,7 @@ def stratified_kfold_assign(sf_dir: str, *, n_folds: int = 5) -> ray.data.Datase
     (per-(lang, hash-range) strata with exclusive prefix offsets — no
     global sort); the fold is pure arithmetic on the in-lang rank
     recovered from the order key."""
+    # bounded: one row per language
     lang_rows = (
         read_table(sf_dir, "documents", columns=["lang"])
         .groupby("lang")
@@ -5559,8 +5466,6 @@ def ngram_vocab_sizes(sf_dir: str, *, max_n: int = 3) -> pa.Table:
     tot_schema = pa.schema([("n", pa.int64()), ("total", pa.int64())])
 
     def pairs(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return pair_schema.empty_table()
         outs = []
         for n in range(1, max_n + 1):
             _, grams = _gram_frame(batch["text"], n)
@@ -5606,12 +5511,7 @@ def ngram_vocab_sizes(sf_dir: str, *, max_n: int = 3) -> pa.Table:
         )
 
     def bucket_distinct(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return pa.schema(
-                [("n", pa.int64()), ("cnt", pa.int64())]
-            ).empty_table()
-        g = group.select(pair_schema.names).cast(pair_schema)
-        d = g.group_by(["n", "g"]).aggregate([])  # global distinct in-bucket
+        d = group.group_by(["n", "g"]).aggregate([])  # global distinct in-bucket
         agg = d.group_by("n").aggregate([([], "count_all")])
         return pa.table(
             {"n": pc.cast(agg["n"], pa.int64()),
@@ -5619,9 +5519,13 @@ def ngram_vocab_sizes(sf_dir: str, *, max_n: int = 3) -> pa.Table:
         )
 
     distinct_rows = (
-        ds.map_batches(pairs, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(bucket_distinct, batch_format="pyarrow")
+        bucket_exchange(
+            ds,
+            bucket_distinct,
+            schema=pair_schema,
+            out_schema=pa.schema([("n", pa.int64()), ("cnt", pa.int64())]),
+            emit=pairs,
+        )
         .groupby("n")
         .aggregate(Sum("cnt", alias_name="distinct_grams"))
         .take_all()  # bounded: max_n rows
@@ -5772,6 +5676,7 @@ def token_budget_select(
             }
         )
 
+    # bounded: one (lo, hi, tok) row per block of the per-doc table
     parts = m.map_batches(
         range_partial, batch_format="pyarrow", zero_copy_batch=True
     ).take_all()

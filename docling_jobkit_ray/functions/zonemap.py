@@ -134,7 +134,7 @@ def write_orders_year_layout(sf_dir: str, out_dir: str) -> str:
             Min(on="cents_min", alias_name="cents_min"),
             Max(on="cents_max", alias_name="cents_max"),
         )
-        .take_all()  # K = #distinct years — bounded at any row count
+        .take_all()  # bounded: K = #distinct years at any row count
     )
     return _commit_layout(out_dir, with_year, "o_year", zones, fp)
 
@@ -412,7 +412,7 @@ def write_orders_zorder_layout(sf_dir: str, out_dir: str) -> str:
             Min(on="hour_min", alias_name="hour_min"),
             Max(on="hour_max", alias_name="hour_max"),
         )
-        .take_all()  # <= 16 tile rows
+        .take_all()  # bounded: <= 16 tile rows
     )
     return _commit_layout(out_dir, with_tile, "ztile", zones, fp)
 

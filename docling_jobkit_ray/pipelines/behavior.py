@@ -1672,7 +1672,7 @@ def user_survival_km(sf_dir: str) -> pa.Table:
 def _collect_km(hist: ray.data.Dataset) -> pa.Table:
     import math
 
-    t = hist.take_all()  # K <= span-hours rows — bounded at any corpus size
+    t = hist.take_all()  # bounded: K <= span-hours rows at any corpus size
     t_hours = np.array([r["t_hours"] for r in t], np.int64)
     d = np.array([r["d"] for r in t], np.int64)
     c = np.array([r["c"] for r in t], np.int64)
@@ -1907,7 +1907,7 @@ def cumulative_unique_users(sf_dir: str) -> pa.Table:
         .map_batches(day_partial, batch_format="pyarrow")
         .groupby("hour")
         .aggregate(Sum(on="n", alias_name="n"))
-        .take_all()  # <= span-hours rows — bounded at any corpus size
+        .take_all()  # bounded: <= span-hours rows at any corpus size
     )
     hours = np.array([r["hour"] for r in hist], np.int64)
     n = np.array([r["n"] for r in hist], np.int64)
@@ -2121,7 +2121,7 @@ def rolling_active_users(
         .aggregate(Sum(on="n", alias_name="n"))
     )
 
-    rows = folded.take_all()  # K <= 3 * span-days rows — bounded at any size
+    rows = folded.take_all()  # bounded: K <= 3 * span-days rows at any size
     keys = np.array([r["key"] for r in rows], np.int64)
     ns = np.array([r["n"] for r in rows], np.int64)
     is_delta = (keys & 1) == 0
@@ -2249,7 +2249,7 @@ def sessions_peak_concurrency(
         .map_groups(per_hour, batch_format="pyarrow")
     )
 
-    # driver finish over K hour rows (K ~ time span in hours)
+    # bounded: driver finish over K hour rows (K ~ time span in hours)
     rows = hours.take_all()
     rows.sort(key=lambda r: r["hour"])
     h = np.array([r["hour"] for r in rows], np.int64)
@@ -2483,6 +2483,7 @@ def events_hourly_theilsen(sf_dir: str) -> pa.Table:
         .groupby("hour")
         .aggregate(Sum(on="n", alias_name="n"))
     )
+    # bounded: one row per hour of the event span
     rows = counts.take_all()
     rows.sort(key=lambda r: r["hour"])
     x = np.array([r["hour"] for r in rows], np.int64)
@@ -3270,7 +3271,7 @@ def user_jaccard_matrix(sf_dir: str, *, n_buckets: int | None = None) -> pa.Tabl
             r["event_type"]
             for r in tds.map_batches(ty_partial, batch_format="pyarrow")
             .groupby("event_type")
-            .aggregate(Count())  # distinct fold, bounded by the type domain
+            .aggregate(Count())  # bounded: distinct fold over the event-type domain
             .take_all()
         }
     )

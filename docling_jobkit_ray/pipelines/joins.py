@@ -142,6 +142,7 @@ def key_bloom(
         )
         return pa.table({"keys": pa.array([keys.tobytes()], pa.binary())})
 
+    # bounded: callers pass the small (dimension) side; one distinct-key row per block
     parts = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True).take_all()
     all_keys = np.unique(
         np.concatenate(
@@ -432,6 +433,7 @@ def auto_join(
     arbitrary column types ride Acero's own semantics, so the two paths
     cannot drift."""
     if est_right_rows is not None and est_right_rows <= broadcast_threshold:
+        # bounded: est_right_rows <= broadcast_threshold, re-checked below
         rt = pa.Table.from_pylist(right.take_all(), schema=right_schema)
         if rt.num_rows > max(broadcast_threshold, 1) * 2:
             raise ValueError(

@@ -30,6 +30,7 @@ def category_counts(extracted: ray.data.Dataset) -> dict[str, int]:
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
+    # bounded: one row per failure category
     return {
         r["category"]: r["count()"] for r in failed.groupby("category").count().take_all()
     }
@@ -97,6 +98,7 @@ def write_archive(
 def run_summary(extracted: ray.data.Dataset) -> dict:
     """One-call task summary: the reference's DoclingTaskResult counters
     (``datamodel/result.py:3-28``): num_succeeded / partial / failed."""
+    # bounded: one row per status
     counts = {
         r["status"]: r["count()"] for r in extracted.groupby("status").count().take_all()
     }

@@ -831,7 +831,7 @@ def q17_small_qty_revenue(sf_dir: str) -> pa.Table:
         .map_batches(avg_partial, batch_format="pyarrow", zero_copy_batch=True)
         .groupby("l_partkey")
         .aggregate(Sum("qty_c", alias_name="qty_c"), Sum("n", alias_name="n"))
-        .take_all()  # O(|parts of one brand|) rows — a dimension slice
+        .take_all()  # bounded: O(|parts of one brand|) rows, a dimension slice
     )
     keys = pa.array([r["l_partkey"] for r in stats], pa.int64())
     # mirror the oracle's float op order exactly: 0.2 * ((sum/100.0) / n)

@@ -1882,6 +1882,7 @@ def nation_target_encoding(sf_dir: str, *, m: int = _TENC_M) -> pa.Table:
     """
     from ray.data.aggregate import Sum
 
+    # bounded: supplier dimension (10k rows per scale-factor unit)
     sup = read_table(sf_dir, "supplier", columns=["s_suppkey", "s_nationkey"]).take_all()
     skeys = np.array([r["s_suppkey"] for r in sup], np.int64)
     snat = np.array([r["s_nationkey"] for r in sup], np.int64)
@@ -2087,6 +2088,7 @@ def theil_index_by_nation(sf_dir: str) -> pa.Table:
     """
     from ray.data.aggregate import Sum
 
+    # bounded: customer dimension (150k rows per scale-factor unit)
     cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_nationkey"]).take_all()
     ckeys = np.array([r["c_custkey"] for r in cust], np.int64)
     cnat = np.array([r["c_nationkey"] for r in cust], np.int64)
@@ -2351,11 +2353,13 @@ def revenue_share_of_parent(sf_dir: str) -> pa.Table:
     """
     from ray.data.aggregate import Sum
 
+    # bounded: customer dimension (150k rows per scale-factor unit)
     cust = read_table(sf_dir, "customer", columns=["c_custkey", "c_nationkey"]).take_all()
     ckeys = np.array([r["c_custkey"] for r in cust], np.int64)
     cnat = np.array([r["c_nationkey"] for r in cust], np.int64)
     order = np.argsort(ckeys)
     ckeys, cnat = ckeys[order], cnat[order]
+    # bounded: nation dimension (25 rows)
     nat = read_table(sf_dir, "nation", columns=["n_nationkey", "n_regionkey"]).take_all()
     region_of = {int(r["n_nationkey"]): int(r["n_regionkey"]) for r in nat}
 
@@ -2601,6 +2605,7 @@ def customers_with_all_brands(
     from ray.data.aggregate import Sum
 
     # broadcast part -> brand dim
+    # bounded: part dimension (200k rows per scale-factor unit)
     part = read_table(sf_dir, "part", columns=["p_partkey", "p_brand"]).take_all()
     pkeys = np.array([r["p_partkey"] for r in part], np.int64)
     brands_all = sorted({r["p_brand"] for r in part})

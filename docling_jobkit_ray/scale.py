@@ -11,6 +11,10 @@ power of two, with a floor that keeps the small-scale per-group call count
 low (too MANY buckets is as bad as too few: 4096 vs 256 doubled minhash wall
 time at 5k docs).
 
+This module only sizes the key space; the per-key fold itself is written
+with ``exchange.bucket_exchange`` (keyed emit, groupby, one fold call per
+key, declared schemas on both sides).
+
 Replaces the reference's static worker/queue sizing knobs
 (``orchestrators/ray/config.py``) with data-derived partitioning.
 """

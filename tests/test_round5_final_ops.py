@@ -42,14 +42,14 @@ def test_ccf_lag0_self_correlation_is_one(ray_session):
 def test_kmeans_partitions_and_improves_on_seeds(ray_session):
     from docling_jobkit_ray.functions.similarity import kmeans_lloyd_embeddings
 
-    t0 = kmeans_lloyd_embeddings(SF, k=8, iters=0)  # seed assignment only
-    t2 = kmeans_lloyd_embeddings(SF, k=8, iters=2)
-    assert t2.num_rows == t0.num_rows > 0
-    assert set(t2["cluster"].to_pylist()) <= set(range(8))
+    t0 = kmeans_lloyd_embeddings(SF, k=8, iters=0).to_pandas()  # seed assignment only
+    t2 = kmeans_lloyd_embeddings(SF, k=8, iters=2).to_pandas()
+    assert len(t2) == len(t0) > 0
+    assert set(t2["cluster"].tolist()) <= set(range(8))
     # Lloyd never increases total within-cluster SSE on the quantized grid
     # (up to the +-k*dim/2 truncation slack of the integer centroid update
     # — negligible against these distances)
-    assert sum(t2["dist2"].to_pylist()) <= sum(t0["dist2"].to_pylist())
+    assert sum(t2["dist2"].tolist()) <= sum(t0["dist2"].tolist())
 
 
 def test_novelty_first_doc_is_all_new_and_ppm_bounded(ray_session):

@@ -63,10 +63,10 @@ def test_kmeans_matches_reference(ray_session, tmp_path, seed):
 
     d = str(tmp_path / f"km{seed}")
     ids, x = _write_embeddings(d, n=60, dim=8, seed=seed)
-    got = kmeans_lloyd_embeddings(d, k=4, iters=3)
+    got = kmeans_lloyd_embeddings(d, k=4, iters=3).to_pandas()
     ref_cluster, ref_d2 = _ref_kmeans(ids, x, k=4, iters=3)
-    by_id = dict(zip(got["vec_id"].to_pylist(), zip(got["cluster"].to_pylist(),
-                                                    got["dist2"].to_pylist())))
+    by_id = dict(zip(got["vec_id"].tolist(), zip(got["cluster"].tolist(),
+                                                 got["dist2"].tolist())))
     for i, vid in enumerate(ids):
         assert by_id[int(vid)] == (int(ref_cluster[i]), int(ref_d2[i]))
 
@@ -90,12 +90,12 @@ def test_kmeans_dead_cluster_carries_forward(ray_session, tmp_path):
     )
     os.makedirs(d, exist_ok=True)
     pq.write_table(t, f"{d}/embeddings.parquet")
-    got = kmeans_lloyd_embeddings(d, k=3, iters=2)
+    got = kmeans_lloyd_embeddings(d, k=3, iters=2).to_pandas()
     ref_cluster, ref_d2 = _ref_kmeans(
         np.arange(11, dtype=np.int64), x.astype(np.float64), k=3, iters=2
     )
-    assert got["cluster"].to_pylist() == ref_cluster.tolist()
-    assert got["dist2"].to_pylist() == ref_d2.tolist()
+    assert got["cluster"].tolist() == ref_cluster.tolist()
+    assert got["dist2"].tolist() == ref_d2.tolist()
 
 
 def _write_documents(tmp: str, n: int, seed: int):
