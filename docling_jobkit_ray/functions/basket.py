@@ -43,6 +43,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from ..exchange import bucket_exchange
+
 _MIN_SUPPORT = 3
 
 _BASKET_SCHEMA = pa.schema(
@@ -68,8 +70,6 @@ def basket_association_rules(
     li = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
 
     def basket_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return _BASKET_SCHEMA.empty_table()
         t = (
             pa.table({"okey": batch["l_orderkey"], "part": batch["l_partkey"]})
             .group_by(["okey", "part"])
@@ -78,9 +78,6 @@ def basket_association_rules(
         return t.append_column("bucket", pc.bit_wise_and(t["okey"], mask))
 
     def count_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return _COUNT_SCHEMA.empty_table()
-        group = group.select(_BASKET_SCHEMA.names).cast(_BASKET_SCHEMA)
         df = group.select(["okey", "part"]).to_pandas().drop_duplicates()
         # directed pairs within each basket
         m = df.merge(df, on="okey")
@@ -99,9 +96,13 @@ def basket_association_rules(
         )
 
     counts = (
-        li.map_batches(basket_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(count_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            li,
+            count_bucket,
+            schema=_BASKET_SCHEMA,
+            out_schema=_COUNT_SCHEMA,
+            emit=basket_partial,
+        )
         .groupby("key")
         .aggregate(Sum(on="n", alias_name="n"))
         # item supports and rules BOTH read this — pin it (branching
@@ -232,8 +233,6 @@ def item_cooccurrence_topk(
     li = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
 
     def basket_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return _BASKET_SCHEMA.empty_table()
         t = (
             pa.table({"okey": batch["l_orderkey"], "part": batch["l_partkey"]})
             .group_by(["okey", "part"])
@@ -242,9 +241,6 @@ def item_cooccurrence_topk(
         return t.append_column("bucket", pc.bit_wise_and(t["okey"], mask))
 
     def count_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return _COUNT_SCHEMA.empty_table()
-        group = group.select(_BASKET_SCHEMA.names).cast(_BASKET_SCHEMA)
         df = group.select(["okey", "part"]).to_pandas().drop_duplicates()
         m = df.merge(df, on="okey")
         m = m[m["part_x"] != m["part_y"]]
@@ -258,9 +254,13 @@ def item_cooccurrence_topk(
         )
 
     counts = (
-        li.map_batches(basket_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(count_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            li,
+            count_bucket,
+            schema=_BASKET_SCHEMA,
+            out_schema=_COUNT_SCHEMA,
+            emit=basket_partial,
+        )
         .groupby("key")
         .aggregate(Sum(on="n", alias_name="n"))
         # item side and pair side BOTH read this — pin it (branching
@@ -296,8 +296,6 @@ def item_cooccurrence_topk(
     )
 
     def score_pairs(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return scored_schema.empty_table()
         key = pc.cast(batch["key"], pa.int64()).to_numpy(zero_copy_only=False)
         n = pc.cast(batch["n"], pa.int64()).to_numpy(zero_copy_only=False)
         is_pair = key >= 2**32
@@ -320,9 +318,6 @@ def item_cooccurrence_topk(
         )
 
     def topk_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
-        group = group.select(scored_schema.names).cast(scored_schema)
         item = np.asarray(group["item"], np.int64)
         nbr = np.asarray(group["nbr"], np.int64)
         cooc = np.asarray(group["cooc"], np.int64)
@@ -345,9 +340,13 @@ def item_cooccurrence_topk(
         )
 
     return (
-        counts.map_batches(score_pairs, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(topk_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            counts,
+            topk_bucket,
+            schema=scored_schema,
+            out_schema=out_schema,
+            emit=score_pairs,
+        )
         .sort(["item", "rank"])
     )
 
@@ -418,8 +417,6 @@ def customer_recommendations(
     li = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
 
     def basket_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return _BASKET_SCHEMA.empty_table()
         t = (
             pa.table({"okey": batch["l_orderkey"], "part": batch["l_partkey"]})
             .group_by(["okey", "part"])
@@ -442,9 +439,6 @@ def customer_recommendations(
         return (h & np.uint64(n_hb - 1)).astype(np.int64)
 
     def pair_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return hb_schema.empty_table()
-        group = group.select(_BASKET_SCHEMA.names).cast(_BASKET_SCHEMA)
         df = group.select(["okey", "part"]).to_pandas().drop_duplicates()
         m = df.merge(df, on="okey")
         m = m[m["part_x"] != m["part_y"]]
@@ -459,9 +453,6 @@ def customer_recommendations(
         )
 
     def fold_topk(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return _COUNT_SCHEMA.empty_table()
-        group = group.select(hb_schema.names).cast(hb_schema)
         tot = (
             pa.table({"key": group["key"], "n": group["n"]})
             .group_by("key")
@@ -474,14 +465,16 @@ def customer_recommendations(
             {"key": pa.array(k[order], pa.int64()), "n": pa.array(n[order], pa.int64())}
         )
 
-    pair_rows = (
-        li.map_batches(basket_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(pair_bucket, batch_format="pyarrow")
-        .groupby("hb")
-        .map_groups(fold_topk, batch_format="pyarrow")
-        .take_all()  # bounded: <= top_pairs rows per hash bucket
+    pair_counts = bucket_exchange(
+        li,
+        pair_bucket,
+        schema=_BASKET_SCHEMA,
+        out_schema=hb_schema,
+        emit=basket_partial,
     )
+    pair_rows = bucket_exchange(
+        pair_counts, fold_topk, key="hb", schema=hb_schema, out_schema=_COUNT_SCHEMA
+    ).take_all()  # bounded: <= top_pairs rows per hash bucket
     pk = np.array([int(r["key"]) for r in pair_rows], np.int64)
     pn = np.array([int(r["n"]) for r in pair_rows], np.int64)
     order = np.lexsort((pk, -pn))[:top_pairs]
@@ -536,9 +529,6 @@ def customer_recommendations(
     )
 
     def resolve_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return ci_schema.empty_table()
-        group = group.select(tag_schema.names).cast(tag_schema)
         tag = np.asarray(group["tag"], np.int64)
         ok = np.asarray(group["okey"], np.int64)
         val = np.asarray(group["val"], np.int64)
@@ -566,9 +556,6 @@ def customer_recommendations(
     )
 
     def score_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
-        group = group.select(ci_schema.names).cast(ci_schema)
         ck = np.unique(
             (np.asarray(group["cust"], np.int64) << 32)
             + np.asarray(group["part"], np.int64)
@@ -624,13 +611,12 @@ def customer_recommendations(
     ).union(
         orders.map_batches(ord_rows, batch_format="pyarrow", zero_copy_batch=True)
     )
-    return (
-        tagged.groupby("bucket")
-        .map_groups(resolve_bucket, batch_format="pyarrow")
-        .groupby("cbucket")
-        .map_groups(score_bucket, batch_format="pyarrow")
-        .sort(["c_custkey", "rec_partkey"])
+    cust_items = bucket_exchange(
+        tagged, resolve_bucket, schema=tag_schema, out_schema=ci_schema
     )
+    return bucket_exchange(
+        cust_items, score_bucket, key="cbucket", schema=ci_schema, out_schema=out_schema
+    ).sort(["c_custkey", "rec_partkey"])
 
 
 def customer_recommendations_sql(top_pairs: int = 200, top_n: int = 3) -> str:

@@ -35,6 +35,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray.data
 
+from ..exchange import bucket_exchange
 from ..state.commit import atomic_write
 
 _WORD = 64
@@ -82,8 +83,6 @@ def build_bitmap_index(
     )
 
     def partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return part_schema.empty_table()
         k = pc.cast(batch[key], pa.int64()).to_numpy(zero_copy_only=False)
         word = k // _WORD
         bit = (np.int64(1) << (k % _WORD)).astype(np.int64)
@@ -113,9 +112,6 @@ def build_bitmap_index(
     )
 
     def fold(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
-        group = group.select(part_schema.names).cast(part_schema)
         attr = group["attr"].to_pandas().to_numpy()
         codes, uniq = pd.factorize(attr)
         lo = group["bits_lo"].to_numpy(zero_copy_only=False)
@@ -145,9 +141,9 @@ def build_bitmap_index(
 
     os.makedirs(out_dir, exist_ok=True)
     built = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(fold, batch_format="pyarrow")
+        bucket_exchange(
+            ds, fold, schema=part_schema, out_schema=out_schema, emit=partial
+        )
     )
     n_rows = built.count()  # drives the build; rows == index size
     meta = {
@@ -208,6 +204,19 @@ def _read_index(index_dir: str, attrs: list[str]) -> ray.data.Dataset:
     )
 
 
+# the (attr, word) rows of an index as they cross the bucket exchange: the
+# 64-bit word split into float64-exact halves (2^53 hazard)
+_WIRE_SCHEMA = pa.schema(
+    [
+        ("attr", pa.string()),
+        ("word", pa.int64()),
+        ("bits_lo", pa.int64()),
+        ("bits_hi", pa.int64()),
+        ("bucket", pa.int64()),
+    ]
+)
+
+
 def bitmap_query_keys(
     index_dir: str,
     *,
@@ -228,8 +237,6 @@ def bitmap_query_keys(
     out_schema = pa.schema([("key", pa.int64())])
 
     def per_bucket(group: pd.DataFrame) -> pd.DataFrame:
-        if group.empty:
-            return pd.DataFrame({"key": pd.Series([], dtype="int64")})
         # OR-fold duplicate (attr, word) rows first: increments write their
         # own files, so a word's bits can arrive split across several rows
         codes, uniq = pd.factorize(group["attr"].to_numpy())
@@ -293,10 +300,14 @@ def bitmap_query_keys(
         return pa.table(cols)
 
     return (
-        _read_index(index_dir, attrs)
-        .map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pandas")
+        bucket_exchange(
+            _read_index(index_dir, attrs),
+            per_bucket,
+            schema=_WIRE_SCHEMA,
+            out_schema=out_schema,
+            emit=add_bucket,
+            batch_format="pandas",
+        )
         .map_batches(
             lambda b: b.select(["key"]).cast(out_schema)
             if b.num_rows
@@ -322,12 +333,6 @@ def bitmap_index_stats(index_dir: str) -> ray.data.Dataset:
     part_schema = pa.schema([("attr", pa.string()), ("n_keys", pa.int64())])
 
     def add_bucket(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or b.num_columns == 0:
-            return pa.schema(
-                [("attr", pa.string()), ("word", pa.int64()),
-                 ("bits_lo", pa.int64()), ("bits_hi", pa.int64()),
-                 ("bucket", pa.int64())]
-            ).empty_table()
         bits = b["bits"].to_numpy(zero_copy_only=False)
         cols = {
             "attr": b["attr"],
@@ -344,10 +349,6 @@ def bitmap_index_stats(index_dir: str) -> ray.data.Dataset:
         return pa.table(cols)
 
     def fold(group: pd.DataFrame) -> pd.DataFrame:
-        if group.empty:
-            return pd.DataFrame(
-                {"attr": pd.Series([], dtype=object), "n_keys": pd.Series([], dtype="int64")}
-            )
         codes, uniq = pd.factorize(group["attr"].to_numpy())
         lo = group["bits_lo"].to_numpy(np.int64)
         hi = group["bits_hi"].to_numpy(np.int64)
@@ -362,10 +363,14 @@ def bitmap_index_stats(index_dir: str) -> ray.data.Dataset:
         return out.groupby("attr", as_index=False)["n_keys"].sum()
 
     return (
-        ray.data.read_parquet(index_dir)
-        .map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(fold, batch_format="pandas")
+        bucket_exchange(
+            ray.data.read_parquet(index_dir),
+            fold,
+            schema=_WIRE_SCHEMA,
+            out_schema=part_schema,
+            emit=add_bucket,
+            batch_format="pandas",
+        )
         .map_batches(
             lambda b: b.select(["attr", "n_keys"]).cast(part_schema)
             if b.num_rows

@@ -34,6 +34,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
+from ..exchange import bucket_exchange
 from ..sources.pages import read_table
 
 __all__ = [
@@ -80,6 +81,19 @@ def _positions(keys: np.ndarray, k_hashes: int, m_bits: int) -> np.ndarray:
         return ((h1[:, None] + i[None, :] * h2[:, None]) % np.uint64(m_bits)).astype(
             np.int64
         )
+
+
+# one row per shard of a built index
+_INDEX_SCHEMA = pa.schema(
+    [
+        ("shard", pa.int64()),
+        ("n_shards", pa.int64()),
+        ("m_bits", pa.int64()),
+        ("k_hashes", pa.int64()),
+        ("n_keys", pa.int64()),
+        ("bloom", pa.binary()),
+    ]
+)
 
 
 def _shard_of(keys: np.ndarray, n_shards: int) -> np.ndarray:
@@ -168,10 +182,14 @@ def build_bloom_index_from_dataset(
             }
         )
 
-    return (
-        ds.map_batches(to_keys, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("shard")
-        .map_groups(build_shard, batch_format="pandas")
+    return bucket_exchange(
+        ds,
+        build_shard,
+        key="shard",
+        schema=pa.schema([("shard", pa.int64()), ("key", pa.int64())]),
+        out_schema=_INDEX_SCHEMA,
+        emit=to_keys,
+        batch_format="pandas",
     )
 
 
@@ -246,21 +264,18 @@ def mark_seen(
         widen_bloom, batch_format="pyarrow", zero_copy_batch=True
     ).union(new_ds.map_batches(widen_new, batch_format="pyarrow", zero_copy_batch=True))
 
+    out_schema = pa.schema([("doc_id", pa.int64()), ("probably_seen", pa.bool_())])
+
     def probe(group: pa.Table) -> pa.Table:
-        # ARROW group, recast to the declared schema (the shuffle can
-        # degrade all-null typed columns — CLAUDE.md), and int64 keys stay
-        # int64: a pandas group would coerce the nullable key column to
-        # float64 and silently destroy keys above 2^53 (measured: 199/200
-        # false negatives before this was arrow-native)
+        # ARROW group, and int64 keys stay int64: a pandas group would
+        # coerce the nullable key column to float64 and silently destroy
+        # keys above 2^53 (measured: 199/200 false negatives before this
+        # was arrow-native)
         import pyarrow.compute as pc
 
-        group = group.cast(superset)
         rows = group.filter(pc.equal(group["kind"], pa.scalar(1, pa.int8())))
-        empty = pa.table(
-            {"doc_id": pa.array([], pa.int64()), "probably_seen": pa.array([], pa.bool_())}
-        )
         if rows.num_rows == 0:
-            return empty
+            return out_schema.empty_table()
         blooms = group.filter(pc.equal(group["kind"], pa.scalar(0, pa.int8())))
         doc_ids = rows["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         if blooms.num_rows == 0:
@@ -284,7 +299,9 @@ def mark_seen(
             }
         )
 
-    return tagged.groupby("shard").map_groups(probe, batch_format="pyarrow")
+    return bucket_exchange(
+        tagged, probe, key="shard", schema=superset, out_schema=out_schema
+    )
 
 
 def filter_unseen(
@@ -410,7 +427,6 @@ def update_bloom_index(
     def fold(group: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        group = group.cast(superset)
         shard = int(group["shard"][0].as_py())
         blooms = group.filter(pc.equal(group["kind"], pa.scalar(0, pa.int8())))
         rows = group.filter(pc.equal(group["kind"], pa.scalar(1, pa.int8())))
@@ -459,4 +475,10 @@ def update_bloom_index(
             }
         )
 
-    return tagged.groupby("shard").map_groups(fold, batch_format="pyarrow")
+    return bucket_exchange(
+        tagged,
+        fold,
+        key="shard",
+        schema=superset,
+        out_schema=_INDEX_SCHEMA.append(pa.field("saturated", pa.bool_())),
+    )

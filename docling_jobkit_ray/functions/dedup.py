@@ -1446,52 +1446,80 @@ def minhash_eval_report(
     pair set at ``threshold`` — the dedup counterpart of
     ``similarity.ann_recall_report``.
 
-    The expensive work is the two distributed pipelines; the comparison
-    runs on the driver over bounded pair-id sets (both stages already cap
-    pair volume at their verify/broadcast admission).  Rows-only by
-    design: the LSH side's permutations are not SQL-expressible — the
-    invariants that ARE provable hold by construction and pytest pins
-    them: verified precision == 1e6 exactly (the verify uses the same
-    exact Jaccard), recall <= 1e6, candidate recall >= verified recall."""
-    # bounded: near-dup pair ids only (two int64 per pair), one row per qualifying pair
-    exact = {
-        (int(r["doc_a"]), int(r["doc_b"]))
-        for r in ngram_jaccard_pairs(
-            sf_dir, threshold=threshold, shingle_k=shingle_k
-        ).take_all()
-    }
-    # bounded: LSH candidate pair ids only, one row per candidate pair
-    cand = {
-        (int(r["doc_a"]), int(r["doc_b"]))
-        for r in minhash_lsh_candidates(
-            sf_dir, num_perm=num_perm, n_bands=n_bands, shingle_k=shingle_k
-        ).take_all()
-    }
-    # bounded: verified pair ids only, a subset of the candidate pairs
-    verified = {
-        (int(r["doc_a"]), int(r["doc_b"]))
-        for r in minhash_dedup(
-            sf_dir,
-            num_perm=num_perm,
-            n_bands=n_bands,
-            shingle_k=shingle_k,
-            threshold=threshold,
-        ).take_all()
-    }
-    c_hits = len(cand & exact)
-    v_hits = len(verified & exact)
+    The three pair sets (exact, LSH candidates, verified) meet in ONE
+    pair-key-bucketed exchange: each set is tagged with its membership
+    bit, each bucket ORs the bits of every distinct pair and emits five
+    counts, so the driver pulls one count row per bucket — never a pair
+    set.  Rows-only by design: the LSH side's permutations are not
+    SQL-expressible — the invariants that ARE provable hold by
+    construction and pytest pins them: verified precision == 1e6 exactly
+    (the verify uses the same exact Jaccard), recall <= 1e6, candidate
+    recall >= verified recall."""
+    from ..scale import bucket_count, estimate_rows
+
+    mask = pa.scalar(
+        bucket_count(estimate_rows(sf_dir, "documents"), min_buckets=16) - 1,
+        pa.int64(),
+    )
+    tag_schema = pa.schema([(c, pa.int64()) for c in ("pairkey", "bucket", "bits")])
+    names = ("n_exact", "n_candidates", "n_verified", "c_hits", "v_hits")
+    count_schema = pa.schema([(c, pa.int64()) for c in names])
+
+    def tagged(pairs: ray.data.Dataset, bit: int) -> ray.data.Dataset:
+        def tag(batch: pa.Table) -> pa.Table:
+            if batch.num_rows == 0:  # a union branch, not the exchange's emit
+                return tag_schema.empty_table()
+            t = _encode_pairs(
+                batch["doc_a"].to_numpy(zero_copy_only=False).astype(np.int64),
+                batch["doc_b"].to_numpy(zero_copy_only=False).astype(np.int64),
+            )
+            return t.append_column(
+                "bucket", pc.bit_wise_and(t["pairkey"], mask)
+            ).append_column("bits", pa.array(np.full(t.num_rows, bit, np.int64)))
+
+        return pairs.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
+
+    def count_bucket(group: pa.Table) -> pa.Table:
+        keys, inv = np.unique(group["pairkey"].to_numpy(), return_inverse=True)
+        bits = np.zeros(len(keys), np.int64)
+        np.bitwise_or.at(bits, inv, group["bits"].to_numpy())
+        exact, cand, verified = (bits & 1) > 0, (bits & 2) > 0, (bits & 4) > 0
+        n = [exact, cand, verified, cand & exact, verified & exact]
+        return pa.table(
+            {c: pa.array([int(v.sum())], pa.int64()) for c, v in zip(names, n)}
+        )
+
+    exact = ngram_jaccard_pairs(sf_dir, threshold=threshold, shingle_k=shingle_k)
+    cand = minhash_lsh_candidates(
+        sf_dir, num_perm=num_perm, n_bands=n_bands, shingle_k=shingle_k
+    )
+    verified = minhash_dedup(
+        sf_dir,
+        num_perm=num_perm,
+        n_bands=n_bands,
+        shingle_k=shingle_k,
+        threshold=threshold,
+    )
+    union = tagged(exact, 1).union(tagged(cand, 2)).union(tagged(verified, 4))
+    tot = dict.fromkeys(names, 0)
+    # bounded: one count row per pair-key bucket
+    for r in bucket_exchange(
+        union, count_bucket, schema=tag_schema, out_schema=count_schema
+    ).take_all():
+        for c in names:
+            tot[c] += int(r[c])
+    n_exact, n_cand, n_ver = tot["n_exact"], tot["n_candidates"], tot["n_verified"]
+    c_hits, v_hits = tot["c_hits"], tot["v_hits"]
     ppm = lambda a, b: (a * 1_000_000 // b) if b else 0
     return pa.table(
         {
-            "n_exact": pa.array([len(exact)], pa.int64()),
-            "n_candidates": pa.array([len(cand)], pa.int64()),
-            "n_verified": pa.array([len(verified)], pa.int64()),
-            "candidate_precision_ppm": pa.array([ppm(c_hits, len(cand))], pa.int64()),
-            "candidate_recall_ppm": pa.array([ppm(c_hits, len(exact))], pa.int64()),
-            "verified_precision_ppm": pa.array(
-                [ppm(v_hits, len(verified))], pa.int64()
-            ),
-            "verified_recall_ppm": pa.array([ppm(v_hits, len(exact))], pa.int64()),
+            "n_exact": pa.array([n_exact], pa.int64()),
+            "n_candidates": pa.array([n_cand], pa.int64()),
+            "n_verified": pa.array([n_ver], pa.int64()),
+            "candidate_precision_ppm": pa.array([ppm(c_hits, n_cand)], pa.int64()),
+            "candidate_recall_ppm": pa.array([ppm(c_hits, n_exact)], pa.int64()),
+            "verified_precision_ppm": pa.array([ppm(v_hits, n_ver)], pa.int64()),
+            "verified_recall_ppm": pa.array([ppm(v_hits, n_exact)], pa.int64()),
         }
     )
 

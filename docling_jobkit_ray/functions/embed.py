@@ -32,6 +32,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
+from ..exchange import bucket_exchange
 from ..sources.pages import read_table
 from .dedup import _shingle_hash_frame
 
@@ -202,9 +203,6 @@ def semantic_dedup_text(
     drop = comp.map_batches(drop_rows, batch_format="pyarrow", zero_copy_batch=True)
 
     def fold(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
-        group = group.cast(u_schema)  # shuffle round-trip type guard
         tag = group["tag"].to_numpy(zero_copy_only=False)
         base = group.filter(pa.array(tag == 0))
         if base.num_rows == 0:
@@ -219,8 +217,6 @@ def semantic_dedup_text(
         return base.filter(keep).drop_columns(["bucket", "tag"]).cast(out_schema)
 
     return (
-        docs.union(drop)
-        .groupby("bucket")
-        .map_groups(fold, batch_format="pyarrow")
+        bucket_exchange(docs.union(drop), fold, schema=u_schema, out_schema=out_schema)
         .sort("doc_id")
     )

@@ -38,6 +38,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from ..exchange import bucket_exchange
 from ..sources.pages import read_table
 
 PREFIX_CHARS = 30
@@ -190,16 +191,12 @@ def fuzzy_prefix_pairs(
         mixed = (tagged.astype(np.uint64) * _MIX) >> np.uint64(1)
         return mixed.astype(np.int64)
 
+    gram_schema = pa.schema(
+        [(c, pa.int64()) for c in ("hkey", "bucket", "role", "doc_id")]
+    )
+    pair_schema = pa.schema([("pairkey", pa.int64())])
+
     def emit(batch: pa.Table, *, _d=max_dist) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return pa.schema(
-                [
-                    ("hkey", pa.int64()),
-                    ("bucket", pa.int64()),
-                    ("role", pa.int64()),
-                    ("doc_id", pa.int64()),
-                ]
-            ).empty_table()
         prefix = pc.utf8_slice_codeunits(batch["text"], 0, prefix_chars)
         plen = pc.cast(pc.utf8_length(prefix), pa.int64()).to_numpy()
         doc = pc.cast(batch["doc_id"], pa.int64()).to_numpy()
@@ -244,8 +241,6 @@ def fuzzy_prefix_pairs(
             }
         )
 
-    grams = ds.map_batches(emit, batch_format="pyarrow", zero_copy_batch=True)
-
     def emit_pairs(group: pd.DataFrame) -> pd.DataFrame:
         # single combined int64 pair key (doc ids < 2^31): the global
         # distinct fold groups on ONE int column — the two-key
@@ -260,7 +255,7 @@ def fuzzy_prefix_pairs(
         # blocks feeding the downstream groupby make Ray's sort-based
         # aggregate 5.5x slower (measured 20.5 s vs 3.7 s on this stream)
         if m.empty:
-            return pa.table({"pairkey": pa.array([], pa.int64())})
+            return pair_schema.empty_table()
         a = np.minimum(m["doc_id_i"].to_numpy(), m["doc_id_p"].to_numpy())
         b = np.maximum(m["doc_id_i"].to_numpy(), m["doc_id_p"].to_numpy())
         return pa.table(
@@ -282,9 +277,15 @@ def fuzzy_prefix_pairs(
         )
 
     candidates = (
-        grams.groupby("bucket")
-        .map_groups(emit_pairs, batch_format="pandas")
-        # map_groups leaves one TINY block per bucket; coalesce to a
+        bucket_exchange(
+            ds,
+            emit_pairs,
+            schema=gram_schema,
+            out_schema=pair_schema,
+            emit=emit,
+            batch_format="pandas",
+        )
+        # the exchange leaves one TINY block per bucket; coalesce to a
         # scale-derived block count before the global fold (cheap: the
         # pair stream is far smaller than the gram stream it came from)
         .repartition(max(8, n_buckets // 8))

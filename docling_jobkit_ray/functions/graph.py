@@ -36,6 +36,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from ..exchange import bucket_exchange
+
 _EDGE_SCHEMA = pa.schema([("src", pa.int64()), ("dst", pa.int64())])
 _LABEL_SCHEMA = pa.schema([("node", pa.int64()), ("label", pa.int64())])
 
@@ -1161,8 +1163,6 @@ def _tri_edges_ds(sf_dir: str, min_qty: int, n_b: int) -> ray.data.Dataset:
     )
 
     def pair_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return _TRI_PAIR_SCHEMA.empty_table()
         keep = pc.greater_equal(batch["l_quantity"], qty)
         t = batch.filter(keep)
         # local (order, part) distinct before the exchange (duplicate
@@ -1175,9 +1175,6 @@ def _tri_edges_ds(sf_dir: str, min_qty: int, n_b: int) -> ray.data.Dataset:
         return t.append_column("bucket", pc.bit_wise_and(t["okey"], mask))
 
     def edge_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return pa.table({"edge": pa.array([], pa.int64())})
-        group = group.select(_TRI_PAIR_SCHEMA.names).cast(_TRI_PAIR_SCHEMA)
         df = group.select(["okey", "part"]).to_pandas()
         m = df.merge(df, on="okey")
         m = m[m["part_x"] < m["part_y"]]
@@ -1185,9 +1182,13 @@ def _tri_edges_ds(sf_dir: str, min_qty: int, n_b: int) -> ray.data.Dataset:
         return pa.table({"edge": pa.array(np.unique(edge), pa.int64())})
 
     return (
-        li.map_batches(pair_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(edge_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            li,
+            edge_bucket,
+            schema=_TRI_PAIR_SCHEMA,
+            out_schema=pa.schema([("edge", pa.int64())]),
+            emit=pair_partial,
+        )
         .groupby("edge")
         .aggregate(Count(alias_name="_n"))
         .materialize()
@@ -1202,8 +1203,6 @@ def _tri_partials_ds(edges: ray.data.Dataset, n_b: int) -> ray.data.Dataset:
     mask = pa.scalar(n_b - 1, pa.int64())
 
     def wedge_emit(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return _TRI_WEDGE_SCHEMA.empty_table()
         e = pc.cast(batch["edge"], pa.int64())
         u = pc.divide(e, 2**32)  # nonnegative: floor == trunc
         v = pc.subtract(e, pc.multiply(u, 2**32))
@@ -1230,9 +1229,6 @@ def _tri_partials_ds(edges: ray.data.Dataset, n_b: int) -> ray.data.Dataset:
         )
 
     def wedge_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return _TRI_WEDGE_SCHEMA.empty_table()
-        group = group.select(_TRI_WEDGE_SCHEMA.names).cast(_TRI_WEDGE_SCHEMA)
         df = pd.DataFrame(
             {
                 "center": group["b"].to_numpy(zero_copy_only=False) >> 1,
@@ -1252,10 +1248,12 @@ def _tri_partials_ds(edges: ray.data.Dataset, n_b: int) -> ray.data.Dataset:
             }
         )
 
-    wedges = (
-        edges.map_batches(wedge_emit, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(wedge_bucket, batch_format="pyarrow")
+    wedges = bucket_exchange(
+        edges,
+        wedge_bucket,
+        schema=_TRI_WEDGE_SCHEMA,
+        out_schema=_TRI_WEDGE_SCHEMA,
+        emit=wedge_emit,
     )
 
     def member_emit(batch: pa.Table) -> pa.Table:
@@ -1274,11 +1272,9 @@ def _tri_partials_ds(edges: ray.data.Dataset, n_b: int) -> ray.data.Dataset:
         member_emit, batch_format="pyarrow", zero_copy_batch=True
     )
 
+    out_schema = pa.schema([("partkey", pa.int64()), ("n", pa.int64())])
+
     def close_bucket(group: pa.Table) -> pa.Table:
-        out_schema = pa.schema([("partkey", pa.int64()), ("n", pa.int64())])
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
-        group = group.select(_TRI_WEDGE_SCHEMA.names).cast(_TRI_WEDGE_SCHEMA)
         is_mem = pc.equal(group["b"], pa.scalar(-1, pa.int64()))
         mem = pc.filter(group["qkey"], is_mem).combine_chunks()
         w = group.filter(pc.invert(is_mem))
@@ -1303,10 +1299,11 @@ def _tri_partials_ds(edges: ray.data.Dataset, n_b: int) -> ray.data.Dataset:
         )
         return partial.rename_columns(["partkey", "n"])
 
-    return (
-        wedges.union(members)
-        .groupby("bucket")
-        .map_groups(close_bucket, batch_format="pyarrow")
+    return bucket_exchange(
+        wedges.union(members),
+        close_bucket,
+        schema=_TRI_WEDGE_SCHEMA,
+        out_schema=out_schema,
     )
 
 
@@ -1531,10 +1528,9 @@ def adamic_adar_part_pairs(
         [("s", pa.int64()), ("p", pa.int64()), ("bucket", pa.int64())]
     )
     pair_schema = pa.schema([("key", pa.int64()), ("w", pa.int64())])
+    cand_schema = pair_schema.insert(0, pa.field("pbucket", pa.int64()))
 
     def edge_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return edge_schema.empty_table()
         t = batch.filter(
             pc.greater_equal(batch["l_quantity"], pa.scalar(float(min_qty)))
         )
@@ -1551,9 +1547,6 @@ def adamic_adar_part_pairs(
         return t.append_column("bucket", pc.bit_wise_and(t["s"], mask))
 
     def pair_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return pair_schema.empty_table()
-        group = group.select(edge_schema.names).cast(edge_schema)
         # global-distinct edges via ONE combined int64 key (batch-local
         # distinct is not global distinct), sorted so segment members are
         # ascending by part — pair keys come out a<b for free
@@ -1576,7 +1569,7 @@ def adamic_adar_part_pairs(
         counts = deg[seg_id] - 1 - r
         total = int(counts.sum())
         if total == 0:
-            return pair_schema.empty_table()
+            return cand_schema.empty_table()
         out_start = np.concatenate([[0], np.cumsum(counts)[:-1]])
         pos = np.arange(total) - np.repeat(out_start, counts)
         left_rows = np.repeat(np.arange(len(s)), counts)
@@ -1601,8 +1594,6 @@ def adamic_adar_part_pairs(
         # global-top-k member — never groupby() a ~|parts|^2-cardinality
         # pair key directly (Ray's sort-aggregate cost scales with distinct
         # keys: measured 16s at 2M keys vs 3s at 1k on 2.6M rows)
-        if group.num_rows == 0 or group.num_columns == 0:
-            return pair_schema.empty_table()
         key = np.asarray(group["key"], np.int64)
         w = np.asarray(group["w"], np.int64)
         order = np.argsort(key, kind="stable")
@@ -1630,12 +1621,17 @@ def adamic_adar_part_pairs(
             }
         )
 
+    pairs = bucket_exchange(
+        li, pair_bucket, schema=edge_schema, out_schema=cand_schema, emit=edge_partial
+    )
     return (
-        li.map_batches(edge_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(pair_bucket, batch_format="pyarrow")
-        .groupby("pbucket")
-        .map_groups(topk_pair_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            pairs,
+            topk_pair_bucket,
+            key="pbucket",
+            schema=cand_schema,
+            out_schema=pair_schema,
+        )
         # bounded: <= n_buckets x k candidate rows survive to this sort
         .sort(["w", "key"], descending=[True, False])
         .limit(k)
@@ -2280,8 +2276,6 @@ def degree_assortativity_ps(sf_dir: str) -> pa.Table:
     )
 
     def edge_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return edge_schema.empty_table()
         t = (
             pa.table(
                 {
@@ -2299,9 +2293,6 @@ def degree_assortativity_ps(sf_dir: str) -> pa.Table:
     )
 
     def supp_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return mid_schema.empty_table()
-        group = group.select(edge_schema.names).cast(edge_schema)
         ek = np.unique(
             (np.asarray(group["s"], np.int64) << 32)
             + np.asarray(group["p"], np.int64)
@@ -2332,9 +2323,6 @@ def degree_assortativity_ps(sf_dir: str) -> pa.Table:
     )
 
     def part_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return sums_schema.empty_table()
-        group = group.select(mid_schema.names).cast(mid_schema)
         p = np.asarray(group["p"], np.int64)
         y = np.asarray(group["degs"], np.int64)
         order = np.argsort(p, kind="stable")
@@ -2353,14 +2341,12 @@ def degree_assortativity_ps(sf_dir: str) -> pa.Table:
             }
         )
 
-    parts = (
-        li.map_batches(edge_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(supp_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(part_bucket, batch_format="pyarrow")
-        .take_all()  # bounded: one 6-int row per bucket
+    mids = bucket_exchange(
+        li, supp_bucket, schema=edge_schema, out_schema=mid_schema, emit=edge_partial
     )
+    parts = bucket_exchange(
+        mids, part_bucket, schema=mid_schema, out_schema=sums_schema
+    ).take_all()  # bounded: one 6-int row per bucket
     n = sx = sy = sxy = sxx = syy = 0
     for r in parts:
         n += int(r["n"])
@@ -2461,21 +2447,12 @@ def dedup_keep_best_docs(sf_dir: str, *, threshold: float = 0.6) -> ray.data.Dat
     drop_schema = pa.schema([("drop_doc_id", pa.int64())])
 
     def add_cbucket(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return pa.schema(
-                [*lab_schema, ("cb", pa.int64())]
-            ).empty_table()
         batch = batch.select(lab_schema.names).cast(lab_schema)
         return batch.append_column(
             "cb", pc.bit_wise_and(batch["component"], pa.scalar(n_cb - 1, pa.int64()))
         )
 
     def pick_losers(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return drop_schema.empty_table()
-        group = group.select([*lab_schema.names, "cb"]).cast(
-            pa.schema([*lab_schema, ("cb", pa.int64())])
-        )
         comp_k = np.asarray(group["component"], np.int64)
         ids = np.asarray(group["doc_id"], np.int64)
         ch = np.asarray(group["n_chars"], np.int64)
@@ -2485,10 +2462,13 @@ def dedup_keep_best_docs(sf_dir: str, *, threshold: float = 0.6) -> ray.data.Dat
         losers = ids[order][~keep_first]
         return pa.table({"drop_doc_id": pa.array(losers, pa.int64())})
 
-    drop = (
-        labeled.map_batches(add_cbucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("cb")
-        .map_groups(pick_losers, batch_format="pyarrow")
+    drop = bucket_exchange(
+        labeled,
+        pick_losers,
+        key="cb",
+        schema=lab_schema.append(pa.field("cb", pa.int64())),
+        out_schema=drop_schema,
+        emit=add_cbucket,
     )
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
@@ -2559,8 +2539,6 @@ def split_leakage_report(
     )
 
     def add_split(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return lab_schema.empty_table()
         ids = batch["doc_id"].to_numpy().astype(np.int64)
         h = ((ids % _LEHMER_M) * _LEHMER_A) % _LEHMER_M
         m = np.where(h < t1, 1, np.where(h < t2, 2, 4)).astype(np.int64)
@@ -2584,9 +2562,6 @@ def split_leakage_report(
     _POP = np.array([bin(i).count("1") for i in range(8)], np.int64)
 
     def fold(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
-        group = group.select(lab_schema.names).cast(lab_schema)
         c = np.asarray(group["component"], np.int64)
         m = np.asarray(group["m"], np.int64)
         order = np.argsort(c, kind="stable")
@@ -2606,9 +2581,14 @@ def split_leakage_report(
         )
 
     return (
-        comp.map_batches(add_split, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("cb")
-        .map_groups(fold, batch_format="pyarrow")
+        bucket_exchange(
+            comp,
+            fold,
+            key="cb",
+            schema=lab_schema,
+            out_schema=out_schema,
+            emit=add_split,
+        )
         .sort("component")
     )
 

@@ -31,6 +31,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from ..exchange import bucket_exchange
 from ..sources.pages import read_table
 
 __all__ = [
@@ -92,6 +93,54 @@ def _pairs_dataset(sf_dir: str) -> tuple[ray.data.Dataset, int]:
     return pairs, n_buckets
 
 
+_PAIRS_SCHEMA = pa.schema(
+    [("bucket", pa.int64()), ("term", pa.string()), ("doc_id", pa.int64())]
+)
+_POSTINGS_SCHEMA = pa.schema(
+    [
+        ("bucket", pa.int64()),
+        ("term", pa.string()),
+        ("df", pa.int64()),
+        ("postings", pa.list_(pa.int64())),
+    ]
+)
+
+
+def _fold_postings(
+    group: pa.Table, min_df: int = 1, max_df: int | None = None
+) -> pa.Table:
+    """One bucket's (bucket, term, doc_id) rows -> one row per term with its
+    df and ascending posting list, keeping min_df <= df <= max_df.
+    Batch-local distinct is NOT global distinct (a term's postings span
+    batches): re-distinct, then fold to sorted posting lists in ONE
+    vectorized pass over the sorted bucket."""
+    g = (
+        group.group_by(["bucket", "term", "doc_id"])
+        .aggregate([])
+        .sort_by([("term", "ascending"), ("doc_id", "ascending")])
+    )
+    agg = g.group_by("term", use_threads=False).aggregate(
+        [("doc_id", "list"), ("doc_id", "count")]
+    )
+    t = agg.rename_columns(["term", "postings", "df"])
+    if max_df is not None:
+        t = t.filter(
+            pc.and_(
+                pc.greater_equal(t["df"], pa.scalar(min_df, pa.int64())),
+                pc.less_equal(t["df"], pa.scalar(max_df, pa.int64())),
+            )
+        )
+    n = t.num_rows
+    return pa.table(
+        {
+            "bucket": pa.array([group["bucket"][0].as_py()] * n, pa.int64()),
+            "term": t["term"],
+            "df": pc.cast(t["df"], pa.int64()),
+            "postings": t["postings"],
+        }
+    )
+
+
 def build_inverted_index(
     sf_dir: str,
     out_dir: str,
@@ -110,57 +159,12 @@ def build_inverted_index(
     max_df = int(max_df_ratio * n_docs)
     pairs, n_buckets = _pairs_dataset(sf_dir)
 
-    _PAIRS_SCHEMA = pa.schema(
-        [("bucket", pa.int64()), ("term", pa.string()), ("doc_id", pa.int64())]
-    )
-
-    _OUT_SCHEMA = pa.schema(
-        [
-            ("bucket", pa.int64()),
-            ("term", pa.string()),
-            ("df", pa.int64()),
-            ("postings", pa.list_(pa.int64())),
-        ]
-    )
-
     def fold(group: pa.Table) -> pa.Table:
-        # Empty shuffle blocks can arrive column-less at wide splits
-        # (CLAUDE.md) — select() would raise before the cast.
-        if group.num_rows == 0 or group.num_columns == 0:
-            return _OUT_SCHEMA.empty_table()
-        # batch-local distinct is NOT global distinct (a term's postings
-        # span batches): re-distinct, then fold to sorted posting lists in
-        # ONE vectorized pass over the sorted bucket.  Cast first: Ray's
-        # groupby shuffle can hand groups back through a pandas round trip
-        # (CLAUDE.md).
-        g = (
-            group.select(_PAIRS_SCHEMA.names)
-            .cast(_PAIRS_SCHEMA)
-            .group_by(["bucket", "term", "doc_id"])
-            .aggregate([])
-            .sort_by([("term", "ascending"), ("doc_id", "ascending")])
-        )
-        agg = g.group_by("term", use_threads=False).aggregate(
-            [("doc_id", "list"), ("doc_id", "count")]
-        )
-        t = agg.rename_columns(["term", "postings", "df"])
-        t = t.filter(
-            pc.and_(
-                pc.greater_equal(t["df"], pa.scalar(min_df, pa.int64())),
-                pc.less_equal(t["df"], pa.scalar(max_df, pa.int64())),
-            )
-        )
-        n = t.num_rows
-        return pa.table(
-            {
-                "bucket": pa.array([group["bucket"][0].as_py()] * n, pa.int64()),
-                "term": t["term"],
-                "df": pc.cast(t["df"], pa.int64()),
-                "postings": t["postings"],
-            }
-        )
+        return _fold_postings(group, min_df, max_df)
 
-    index = pairs.groupby("bucket").map_groups(fold, batch_format="pyarrow")
+    index = bucket_exchange(
+        pairs, fold, schema=_PAIRS_SCHEMA, out_schema=_POSTINGS_SCHEMA
+    )
     index.write_parquet(out_dir, partition_cols=["bucket"])
     import json as _json
     import os as _os
@@ -255,14 +259,7 @@ def inverted_index_stats(
     )
 
     def dedup_fold(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return _STATS_SCHEMA.empty_table()
-        g = (
-            group.select(_PD_SCHEMA.names)
-            .cast(_PD_SCHEMA)
-            .group_by(["term", "doc_id"])
-            .aggregate([])
-        )
+        g = group.group_by(["term", "doc_id"]).aggregate([])
         agg = g.group_by("term").aggregate(
             [("doc_id", "count"), ("doc_id", "sum"), ("doc_id", "min"), ("doc_id", "max")]
         )
@@ -278,8 +275,7 @@ def inverted_index_stats(
         )
 
     return (
-        pairs.groupby("bucket")
-        .map_groups(dedup_fold, batch_format="pyarrow")
+        bucket_exchange(pairs, dedup_fold, schema=_PD_SCHEMA, out_schema=_STATS_SCHEMA)
         .map_batches(
             lambda b: b.filter(pc.greater_equal(b["df"], pa.scalar(min_df, pa.int64()))),
             batch_format="pyarrow",
@@ -1517,47 +1513,11 @@ def append_inverted_index(out_dir: str, new_docs: ray.data.Dataset) -> dict:
         )
     n_buckets = int(meta["n_buckets"])
 
-    _PAIRS_SCHEMA = pa.schema(
-        [("bucket", pa.int64()), ("term", pa.string()), ("doc_id", pa.int64())]
-    )
-    _OUT_SCHEMA = pa.schema(
-        [
-            ("bucket", pa.int64()),
-            ("term", pa.string()),
-            ("df", pa.int64()),
-            ("postings", pa.list_(pa.int64())),
-        ]
-    )
-
-    def fold(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return _OUT_SCHEMA.empty_table()
-        g = (
-            group.select(_PAIRS_SCHEMA.names)
-            .cast(_PAIRS_SCHEMA)
-            .group_by(["bucket", "term", "doc_id"])
-            .aggregate([])
-            .sort_by([("term", "ascending"), ("doc_id", "ascending")])
-        )
-        agg = g.group_by("term", use_threads=False).aggregate(
-            [("doc_id", "list"), ("doc_id", "count")]
-        )
-        t = agg.rename_columns(["term", "postings", "df"])
-        n = t.num_rows
-        return pa.table(
-            {
-                "bucket": pa.array([group["bucket"][0].as_py()] * n, pa.int64()),
-                "term": t["term"],
-                "df": pc.cast(t["df"], pa.int64()),
-                "postings": t["postings"],
-            }
-        )
-
-    new_docs.map_batches(
-        lambda b: term_doc_pairs(b, n_buckets=n_buckets),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    ).groupby("bucket").map_groups(fold, batch_format="pyarrow").write_parquet(
-        out_dir, partition_cols=["bucket"]
-    )
+    bucket_exchange(
+        new_docs,
+        _fold_postings,
+        schema=_PAIRS_SCHEMA,
+        out_schema=_POSTINGS_SCHEMA,
+        emit=lambda b: term_doc_pairs(b, n_buckets=n_buckets),
+    ).write_parquet(out_dir, partition_cols=["bucket"])
     return {"n_buckets": n_buckets, "path": out_dir}

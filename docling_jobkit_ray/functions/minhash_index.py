@@ -39,6 +39,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from ..exchange import bucket_exchange
 from .dedup import MinHasher, _band_rows
 
 __all__ = [
@@ -179,9 +180,6 @@ def probe_minhash_index(
     )
 
     def match(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return pair_schema.empty_table()
-        group = group.cast(u_schema)  # shuffle round-trip type guard
         tag = group["tag"].to_numpy(zero_copy_only=False)
         probe = group.filter(pa.array(tag == 0)).select(
             ["band_id", "band_hash", "doc_id"]
@@ -205,19 +203,13 @@ def probe_minhash_index(
         )
 
     def dedup_pairs(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return pair_schema.empty_table()
         return (
-            group.select(["probe_doc_id", "index_doc_id"])
-            .cast(pair_schema)
-            .group_by(["probe_doc_id", "index_doc_id"])
+            group.group_by(["probe_doc_id", "index_doc_id"])
             .aggregate([])
             .cast(pair_schema)
         )
 
     def add_pair_bucket(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return pa.schema(list(pair_schema) + [pa.field("pbucket", pa.int64())]).empty_table()
         a = batch["probe_doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
         b = batch["index_doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
         pb = (((a * _MIX) ^ b) * _MIX >> np.uint64(40)).astype(np.int64) & (
@@ -225,14 +217,15 @@ def probe_minhash_index(
         )
         return batch.append_column("pbucket", pa.array(pb))
 
-    return (
-        tagged.groupby("bucket")
-        .map_groups(match, batch_format="pyarrow")
-        .map_batches(add_pair_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("pbucket")
-        .map_groups(dedup_pairs, batch_format="pyarrow")
-        .sort(["probe_doc_id", "index_doc_id"])
-    )
+    pairs = bucket_exchange(tagged, match, schema=u_schema, out_schema=pair_schema)
+    return bucket_exchange(
+        pairs,
+        dedup_pairs,
+        key="pbucket",
+        schema=pair_schema.append(pa.field("pbucket", pa.int64())),
+        out_schema=pair_schema,
+        emit=add_pair_bucket,
+    ).sort(["probe_doc_id", "index_doc_id"])
 
 
 def append_minhash_index(out_dir: str, new_ds: ray.data.Dataset) -> dict:

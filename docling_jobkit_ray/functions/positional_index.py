@@ -42,6 +42,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from ..exchange import bucket_exchange
 from ..sources.pages import read_table
 
 __all__ = [
@@ -114,8 +115,6 @@ def build_positional_index(
         n_buckets = bucket_count(estimate_rows(sf_dir, "documents") * 180, min_buckets=64)
 
     def pairs(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return _PAIR_SCHEMA.empty_table()
         terms, doc_ids, pos = _token_positions(batch)
         return pa.table(
             {
@@ -129,8 +128,6 @@ def build_positional_index(
         )
 
     def fold(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return _OUT_SCHEMA.empty_table()
         g = (
             group.select(_PAIR_SCHEMA.names)
             .cast(_PAIR_SCHEMA)
@@ -158,9 +155,9 @@ def build_positional_index(
         )
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    docs.map_batches(pairs, batch_format="pyarrow", zero_copy_batch=True).groupby(
-        "bucket"
-    ).map_groups(fold, batch_format="pyarrow").write_parquet(
+    bucket_exchange(
+        docs, fold, schema=_PAIR_SCHEMA, out_schema=_OUT_SCHEMA, emit=pairs
+    ).write_parquet(
         out_dir, partition_cols=["bucket"]
     )
     with open(os.path.join(out_dir, _META), "w") as f:
@@ -185,8 +182,6 @@ def append_positional_index(out_dir: str, new_docs: ray.data.Dataset) -> dict:
         n_buckets = int(json.load(f)["n_buckets"])
 
     def pairs(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return _PAIR_SCHEMA.empty_table()
         terms, doc_ids, pos = _token_positions(batch)
         return pa.table(
             {
@@ -200,8 +195,6 @@ def append_positional_index(out_dir: str, new_docs: ray.data.Dataset) -> dict:
         )
 
     def fold(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return _OUT_SCHEMA.empty_table()
         g = (
             group.select(_PAIR_SCHEMA.names)
             .cast(_PAIR_SCHEMA)
@@ -228,9 +221,9 @@ def append_positional_index(out_dir: str, new_docs: ray.data.Dataset) -> dict:
             }
         )
 
-    new_docs.map_batches(pairs, batch_format="pyarrow", zero_copy_batch=True).groupby(
-        "bucket"
-    ).map_groups(fold, batch_format="pyarrow").write_parquet(
+    bucket_exchange(
+        new_docs, fold, schema=_PAIR_SCHEMA, out_schema=_OUT_SCHEMA, emit=pairs
+    ).write_parquet(
         out_dir, partition_cols=["bucket"]
     )
     return {"n_buckets": n_buckets, "path": out_dir}
@@ -282,12 +275,11 @@ _ROW_SCHEMA = pa.schema(
 )
 
 
-def _flat_slot_rows(group: pa.Table, phrase: list[str], *, shift: bool = True):
+def _flat_slot_rows(g: pa.Table, phrase: list[str], *, shift: bool = True):
     """Flatten one doc-bucket's (term, doc, positions) rows to deduped
     (doc, slot, start) triples — appended duplicate rows collapse here.
     ``shift`` subtracts the slot offset (phrase semantics: start = pos - i,
     negatives cut); proximity wants the raw positions instead."""
-    g = group.select(_ROW_SCHEMA.names).cast(_ROW_SCHEMA)
     lens = pc.list_value_length(g["positions"]).to_numpy(zero_copy_only=False)
     fpos = pc.list_flatten(g["positions"]).to_numpy(zero_copy_only=False)
     row_idx = np.repeat(np.arange(g.num_rows, dtype=np.int64), lens)
@@ -337,8 +329,6 @@ def search_phrase_index(out_dir: str, phrase: list[str]) -> ray.data.Dataset:
     ph = list(phrase)
 
     def fold(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return _MATCH_SCHEMA.empty_table()
         d, _sl, s = _flat_slot_rows(group, ph)
         if len(d) == 0:
             return _MATCH_SCHEMA.empty_table()
@@ -357,9 +347,9 @@ def search_phrase_index(out_dir: str, phrase: list[str]) -> ray.data.Dataset:
             }
         )
 
-    return ds.groupby("dbucket").map_groups(fold, batch_format="pyarrow").sort(
-        "doc_id"
-    )
+    return bucket_exchange(
+        ds, fold, key="dbucket", schema=_ROW_SCHEMA, out_schema=_MATCH_SCHEMA
+    ).sort("doc_id")
 
 
 _PHRASE3_DEFAULT = ("big", "order", "scan")  # non-vacuous at every driver scale
@@ -430,8 +420,6 @@ def proximity_search_indexed(
     prox_schema = pa.schema([("doc_id", pa.int64()), ("n_pairs", pa.int64())])
 
     def fold(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return prox_schema.empty_table()
         # deduped (doc, slot, pos) triples with slot 0 = t1, slot 1 = t2
         d, sl, p = _flat_slot_rows(group, [t1, t2], shift=False)
         if len(d) == 0:
@@ -471,8 +459,9 @@ def proximity_search_indexed(
             df = pd.DataFrame()
         else:
             df = (
-                ds.groupby("dbucket")
-                .map_groups(fold, batch_format="pyarrow")
+                bucket_exchange(
+                    ds, fold, key="dbucket", schema=_ROW_SCHEMA, out_schema=prox_schema
+                )
                 .sort("doc_id")
                 .to_pandas()
             )

@@ -28,6 +28,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from ..exchange import bucket_exchange
 from ..sources.pages import read_table
 
 
@@ -189,12 +190,9 @@ def data_quality_report(sf_dir: str) -> pa.Table:
         side_emit("o_orderkey", 1), batch_format="pyarrow", zero_copy_batch=True
     )
 
+    count_schema = pa.schema([("n", pa.int64()), ("bad", pa.int64())])
+
     def orphan_fold(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return pa.schema([("n", pa.int64()), ("bad", pa.int64())]).empty_table()
-        group = group.select(["k", "side", "n"]).cast(
-            pa.schema([("k", pa.int64()), ("side", pa.int64()), ("n", pa.int64())])
-        )
         df = group.to_pandas()
         per = df.pivot_table(index="k", columns="side", values="n", aggfunc="sum").fillna(0)
         li_n = per[0] if 0 in per.columns else pd.Series(0, index=per.index)
@@ -206,9 +204,9 @@ def data_quality_report(sf_dir: str) -> pa.Table:
         )
 
     agg = (
-        li.union(okeys)
-        .groupby("bucket")
-        .map_groups(orphan_fold, batch_format="pyarrow")
+        bucket_exchange(
+            li.union(okeys), orphan_fold, schema=union_schema, out_schema=count_schema
+        )
         .aggregate(Sum("n"), Sum("bad"))
     )
     results["fk_lineitem_orders"] = (int(agg["sum(n)"] or 0), int(agg["sum(bad)"] or 0))

@@ -19,6 +19,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
+from ..exchange import bucket_exchange
 from ..sources.pages import read_table
 from ._arrow import list_column_to_matrix
 
@@ -78,6 +79,11 @@ class BruteForceTopK:
         )
 
 
+_CANDIDATE_SCHEMA = pa.schema(
+    [("query_id", pa.int64()), ("vec_id", pa.int64()), ("cosine", pa.float64())]
+)
+
+
 def _final_topk(k: int):
     """Per-query merge of local top-k partials (tiny groupby)."""
 
@@ -92,6 +98,19 @@ def _final_topk(k: int):
     return fn
 
 
+def _merge_topk(partials: ray.data.Dataset, k: int) -> ray.data.Dataset:
+    """One query_id exchange folding local top-k candidate rows to the
+    global top-k with its rank."""
+    return bucket_exchange(
+        partials,
+        _final_topk(k),
+        key="query_id",
+        schema=_CANDIDATE_SCHEMA,
+        out_schema=_CANDIDATE_SCHEMA.append(pa.field("rank", pa.int64())),
+        batch_format="pandas",
+    )
+
+
 def knn_brute_force(sf_dir: str, *, k: int = 5, n_queries: int = 4) -> ray.data.Dataset:
     """Exact cosine top-k for n_queries probe vectors over all embeddings.
 
@@ -103,11 +122,7 @@ def knn_brute_force(sf_dir: str, *, k: int = 5, n_queries: int = 4) -> ray.data.
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    return (
-        partials.groupby("query_id")
-        .map_groups(_final_topk(k), batch_format="pandas")
-        .sort(["query_id", "rank"])
-    )
+    return _merge_topk(partials, k).sort(["query_id", "rank"])
 
 
 # ---------------------------------------------------------------------------
@@ -238,23 +253,13 @@ def knn_ivf(
                 )
                 out.append(solo(sub))
             if not out:
-                return pa.table(
-                    {
-                        "query_id": pa.array([], pa.int64()),
-                        "vec_id": pa.array([], pa.int64()),
-                        "cosine": pa.array([], pa.float64()),
-                    }
-                )
+                return _CANDIDATE_SCHEMA.empty_table()
             return pa.concat_tables(out)
 
     partials = pruned.map_batches(
         ProbedTopK(), batch_format="pyarrow", zero_copy_batch=True
     )
-    return (
-        partials.groupby("query_id")
-        .map_groups(_final_topk(k), batch_format="pandas")
-        .sort(["query_id", "rank"])
-    )
+    return _merge_topk(partials, k).sort(["query_id", "rank"])
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +352,17 @@ def knn_exact_ranks(
         df["cosine_e6"] = np.round(df["cosine"].to_numpy() * 1e6).astype(np.int64)
         return df[["query_id", "rank", "vec_id", "cosine_e6"]]
 
-    return (
-        partials.groupby("query_id")
-        .map_groups(final_topk, batch_format="pandas")
-        .sort(["query_id", "rank"])
+    out_schema = pa.schema(
+        [(c, pa.int64()) for c in ("query_id", "rank", "vec_id", "cosine_e6")]
     )
+    return bucket_exchange(
+        partials,
+        final_topk,
+        key="query_id",
+        schema=_CANDIDATE_SCHEMA,
+        out_schema=out_schema,
+        batch_format="pandas",
+    ).sort(["query_id", "rank"])
 
 
 def knn_exact_ranks_sql(k: int = 5, n_queries: int = 4) -> str:
@@ -620,9 +631,7 @@ def knn_pq(
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    merged = partials.groupby("query_id").map_groups(
-        _final_topk(shortlist_k), batch_format="pandas"
-    )
+    merged = _merge_topk(partials, shortlist_k)
     if not refine:
         return merged.sort(["query_id", "rank"])
 
@@ -651,13 +660,7 @@ def knn_pq(
                 if sub.num_rows:
                     out.append(BruteForceTopK(self.q[[qi]], [qid], self.k)(sub))
             if not out:
-                return pa.table(
-                    {
-                        "query_id": pa.array([], pa.int64()),
-                        "vec_id": pa.array([], pa.int64()),
-                        "cosine": pa.array([], pa.float64()),
-                    }
-                )
+                return _CANDIDATE_SCHEMA.empty_table()
             return pa.concat_tables(out)
 
     rerank = (
@@ -667,11 +670,7 @@ def knn_pq(
             RefineTopK(queries, qids, k), batch_format="pyarrow", zero_copy_batch=True
         )
     )
-    return (
-        rerank.groupby("query_id")
-        .map_groups(_final_topk(k), batch_format="pandas")
-        .sort(["query_id", "rank"])
-    )
+    return _merge_topk(rerank, k).sort(["query_id", "rank"])
 
 
 def embedding_top_component(
@@ -714,9 +713,9 @@ def embedding_top_component(
         and therefore the result — is bit-identical across runs."""
         import zlib
 
+        vec_schema = pa.schema([(col, pa.list_(pa.float64()))])
+
         def tag(batch: pa.Table) -> pa.Table:
-            if batch.num_rows == 0 or batch.num_columns == 0:
-                return batch.append_column("fk", pa.array([], pa.int64()))
             keys = [
                 zlib.crc32(np.asarray(v, np.float64).tobytes()) % 64
                 for v in batch[col].to_pylist()
@@ -724,20 +723,18 @@ def embedding_top_component(
             return batch.append_column("fk", pa.array(keys, pa.int64()))
 
         def fold(group: pa.Table) -> pa.Table:
-            if group.num_rows == 0 or group.num_columns == 0:
-                return pa.table({col: pa.array([], pa.list_(pa.float64()))})
             vecs = sorted(tuple(v) for v in group[col].to_pylist())
             s = np.sum([np.asarray(v) for v in vecs], axis=0)
             return pa.table({col: pa.array([s.tolist()])})
 
-        rows = (
-            partials.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("fk")
-            .map_groups(
-                lambda g: fold(g.drop_columns(["fk"])), batch_format="pyarrow"
-            )
-            .take_all()  # bounded: <= 64 rows at ANY block count
-        )
+        rows = bucket_exchange(
+            partials,
+            fold,
+            key="fk",
+            schema=vec_schema.append(pa.field("fk", pa.int64())),
+            out_schema=vec_schema,
+            emit=tag,
+        ).take_all()  # bounded: <= 64 rows at ANY block count
         return sorted(tuple(r[col]) for r in rows)
 
     mean_ds = ds.map_batches(
@@ -1410,11 +1407,18 @@ def contrastive_pairs_mining(
         df["cosine_e6"] = np.round(df["cosine"].to_numpy() * 1e6).astype(np.int64)
         return df[["query_id", "role", "rank", "vec_id", "cosine_e6"]]
 
-    return (
-        partials.groupby(["query_id", "role"])
-        .map_groups(final_topk, batch_format="pandas")
-        .sort(["query_id", "role", "rank"])
+    schema = _CANDIDATE_SCHEMA.insert(1, pa.field("role", pa.int64()))
+    out_schema = pa.schema(
+        [(c, pa.int64()) for c in ("query_id", "role", "rank", "vec_id", "cosine_e6")]
     )
+    return bucket_exchange(
+        partials,
+        final_topk,
+        key=["query_id", "role"],
+        schema=schema,
+        out_schema=out_schema,
+        batch_format="pandas",
+    ).sort(["query_id", "role", "rank"])
 
 
 def contrastive_pairs_mining_sql(k: int = 5, n_queries: int = 4) -> str:
@@ -1571,11 +1575,14 @@ def sq8_knn_ranks(
         df["rank"] = np.arange(1, len(df) + 1, dtype=np.int64)
         return df[["query_id", "rank", "vec_id", "d2"]]
 
-    return (
-        partials.groupby("query_id")
-        .map_groups(final_topk, batch_format="pandas")
-        .sort(["query_id", "rank"])
-    )
+    return bucket_exchange(
+        partials,
+        final_topk,
+        key="query_id",
+        schema=out_schema,
+        out_schema=out_schema.insert(1, pa.field("rank", pa.int64())),
+        batch_format="pandas",
+    ).sort(["query_id", "rank"])
 
 
 def sq8_knn_ranks_sql(k: int = 5, n_queries: int = 4, dim: int = 64) -> str:

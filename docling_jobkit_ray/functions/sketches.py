@@ -16,6 +16,7 @@ import numpy as np
 import pyarrow as pa
 import ray.data
 
+from ..exchange import bucket_exchange
 from ..sources.pages import read_table
 
 
@@ -93,12 +94,15 @@ class HyperLogLog:
 
 _FOLD_GROUPS = 256
 
+_SKETCH_SCHEMA = pa.schema([("sketch", pa.binary())])
+
 
 def _tree_fold_sketches(
     sketches: ray.data.Dataset,
     merge_rows,
     *,
     key_of,
+    schema: pa.Schema = _SKETCH_SCHEMA,
     n_groups: int = _FOLD_GROUPS,
 ) -> ray.data.Dataset:
     """One distributed fold round: route each sketch row to one of
@@ -112,20 +116,22 @@ def _tree_fold_sketches(
     coalescing batch_size does NOT work here: Ray fuses map->map operators
     so the fold would run per upstream block (measured: zero reduction) —
     the groupby is the explicit exchange that actually regroups rows.
-    Merges are associative, so any regrouping is semantics-free."""
+    Merges are associative, so any regrouping is semantics-free.
+    ``schema`` is the sketch row schema, both in and out of ``merge_rows``
+    (default: one binary ``sketch`` column)."""
 
     def tag(batch: pa.Table) -> pa.Table:
         return batch.append_column(
             "fold_key", pa.array(key_of(batch) % n_groups, pa.int64())
         )
 
-    return (
-        sketches.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("fold_key")
-        .map_groups(
-            lambda g: merge_rows(g.drop_columns(["fold_key"])),
-            batch_format="pyarrow",
-        )
+    return bucket_exchange(
+        sketches,
+        merge_rows,
+        key="fold_key",
+        schema=schema.append(pa.field("fold_key", pa.int64())),
+        out_schema=schema,
+        emit=tag,
     )
 
 
@@ -412,6 +418,7 @@ def approx_top_terms(
     parts = _tree_fold_sketches(
         ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
         fold,
+        schema=pa.schema([("term", pa.string()), ("count", pa.int64())]),
         key_of=term_key,
     ).to_pandas()
     merged.add_counts(parts.groupby("term")["count"].sum())
@@ -435,11 +442,9 @@ def approx_distinct_by(
     the textbook scale shape); the per-key fold rides ``groupby(key)`` so
     the result stays distributed — estimates never collect to the driver."""
 
+    part_schema = pa.schema([(key, pa.string()), ("sketch", pa.binary())])
+
     def partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return pa.schema(
-                [(key, pa.string()), ("sketch", pa.binary())]
-            ).empty_table()
         keys = np.asarray(batch.column(key).to_pylist(), dtype=object)
         vals = batch.column(column).to_pylist()
         # hash every value ONCE (same per-value blake2b as add_values),
@@ -462,8 +467,6 @@ def approx_distinct_by(
     out_schema = pa.schema([(key, pa.string()), ("approx_n", pa.int64())])
 
     def fold(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
         m = HyperLogLog(p)
         for s in group["sketch"].to_pylist():
             m = m.merge(HyperLogLog.deserialize(s))
@@ -475,9 +478,9 @@ def approx_distinct_by(
         )
 
     return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(key)
-        .map_groups(fold, batch_format="pyarrow")
+        bucket_exchange(
+            ds, fold, key=key, schema=part_schema, out_schema=out_schema, emit=partial
+        )
         .sort(key)
     )
 
@@ -506,11 +509,9 @@ def approx_quantiles_by(
     from_values within), per-key merge rides ``groupby(key)``; the result
     stays distributed."""
 
+    part_schema = pa.schema([(key, pa.string()), ("sketch", pa.binary())])
+
     def partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return pa.schema(
-                [(key, pa.string()), ("sketch", pa.binary())]
-            ).empty_table()
         keys = np.asarray(batch.column(key).to_pylist(), dtype=object)
         vals = batch.column(column).to_numpy(zero_copy_only=False).astype(np.float64)
         uk, inv = np.unique(keys, return_inverse=True)
@@ -529,8 +530,6 @@ def approx_quantiles_by(
     )
 
     def fold(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
         m = None
         for s in group["sketch"].to_pylist():
             t = TDigest.deserialize(s)
@@ -541,9 +540,9 @@ def approx_quantiles_by(
         return pa.table(row)
 
     return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(key)
-        .map_groups(fold, batch_format="pyarrow")
+        bucket_exchange(
+            ds, fold, key=key, schema=part_schema, out_schema=out_schema, emit=partial
+        )
         .sort(key)
     )
 
@@ -576,8 +575,6 @@ def approx_top_terms_by_lang(
     )
 
     def partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return partial_schema.empty_table()
         lower = pc.utf8_lower(batch["text"])
         words = pc.split_pattern_regex(lower, pattern=r"[^a-z]+")
         flat = pc.list_flatten(words)
@@ -614,9 +611,6 @@ def approx_top_terms_by_lang(
     )
 
     def fold(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
-        group = group.cast(partial_schema)
         s = (
             group.group_by("term")
             .aggregate([("count", "sum")])
@@ -641,9 +635,14 @@ def approx_top_terms_by_lang(
         )
 
     return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("lang")
-        .map_groups(fold, batch_format="pyarrow")
+        bucket_exchange(
+            ds,
+            fold,
+            key="lang",
+            schema=partial_schema,
+            out_schema=out_schema,
+            emit=partial,
+        )
         .sort(["lang", "rank"])
     )
 
@@ -718,7 +717,8 @@ def user_overlap_estimate(sf_dir: str, *, p: int = 12) -> pa.Table:
             count=batch.num_rows,
         )
 
-    folded = _tree_fold_sketches(rows, fold, key_of=key_of)
+    ab_schema = pa.schema([("a", pa.binary()), ("b", pa.binary())])
+    folded = _tree_fold_sketches(rows, fold, schema=ab_schema, key_of=key_of)
     a, b = HyperLogLog(p), HyperLogLog(p)
     for r in folded.take_all():  # bounded: <= 256 rows
         a = a.merge(HyperLogLog.deserialize(r["a"]))

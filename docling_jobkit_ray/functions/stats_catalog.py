@@ -21,6 +21,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from ..exchange import bucket_exchange
 from ..state.commit import committed_versions, staged_dir
 from .profile import _EVENT_SPECS, _as_int64
 from .sketches import HyperLogLog, TDigest
@@ -50,8 +51,6 @@ def column_sketch_rows(
     ``groupby(col)`` — the driver never sees more than |columns| rows."""
 
     def partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return _CAT_SCHEMA.empty_table()
         rows = {"col": [], "n": [], "hll": [], "tdigest": []}
         for name, kind in specs:
             v = _as_int64(batch[name], kind)
@@ -73,9 +72,6 @@ def column_sketch_rows(
         )
 
     def fold(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return _CAT_SCHEMA.empty_table()
-        group = group.cast(_CAT_SCHEMA)
         hll = None
         td = None
         for h, t in zip(group["hll"].to_pylist(), group["tdigest"].to_pylist()):
@@ -91,10 +87,8 @@ def column_sketch_rows(
             }
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("col")
-        .map_groups(fold, batch_format="pyarrow")
+    return bucket_exchange(
+        ds, fold, key="col", schema=_CAT_SCHEMA, out_schema=_CAT_SCHEMA, emit=partial
     )
 
 

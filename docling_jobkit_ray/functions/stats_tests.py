@@ -24,6 +24,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from ..exchange import bucket_exchange
 from ..sources.pages import read_table
 
 
@@ -1358,10 +1359,7 @@ def ab_sprt_decision(sf_dir: str) -> pa.Table:
             }
         )
 
-    def fold_day(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return part_schema.empty_table()
-        g = group.select(ev_schema.names).cast(ev_schema)
+    def fold_day(g: pa.Table) -> pa.Table:
         ts = g["ts"].to_numpy(zero_copy_only=False)
         eid = g["eid"].to_numpy(zero_copy_only=False)
         llr = g["llr"].to_numpy(zero_copy_only=False)
@@ -1378,11 +1376,9 @@ def ab_sprt_decision(sf_dir: str) -> pa.Table:
         )
 
     evs = ds.map_batches(ev_rows, batch_format="pyarrow", zero_copy_batch=True)
-    days = (
-        evs.groupby("day")
-        .map_groups(fold_day, batch_format="pyarrow")
-        .take_all()  # bounded: one row per calendar day
-    )
+    days = bucket_exchange(
+        evs, fold_day, key="day", schema=ev_schema, out_schema=part_schema
+    ).take_all()  # bounded: one row per calendar day
     days.sort(key=lambda r: int(r["day"]))
     offset = 0
     total_n = 0

@@ -36,6 +36,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from ..exchange import bucket_exchange
 from ..sources.pages import read_table
 
 _META = "_meta.json"
@@ -94,8 +95,6 @@ def build_trigram_index(
     )
 
     def pairs(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return pair_schema.empty_table()
         docs_np, codes = _doc_code_pairs(
             _normalize(batch["text"]),
             pc.cast(batch["doc_id"], pa.int64()).to_numpy(zero_copy_only=False),
@@ -109,8 +108,6 @@ def build_trigram_index(
         )
 
     def fold(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
         g = (
             group.select(pair_schema.names)
             .cast(pair_schema)
@@ -132,9 +129,9 @@ def build_trigram_index(
             }
         )
 
-    docs.map_batches(pairs, batch_format="pyarrow", zero_copy_batch=True).groupby(
-        "bucket"
-    ).map_groups(fold, batch_format="pyarrow").write_parquet(
+    bucket_exchange(
+        docs, fold, schema=pair_schema, out_schema=out_schema, emit=pairs
+    ).write_parquet(
         out_dir, partition_cols=["bucket"]
     )
     with open(os.path.join(out_dir, _META), "w") as f:
@@ -301,8 +298,6 @@ def append_trigram_index(out_dir: str, new_docs: ray.data.Dataset) -> dict:
     )
 
     def pairs(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return pair_schema.empty_table()
         docs_np, codes = _doc_code_pairs(
             _normalize(batch["text"]),
             pc.cast(batch["doc_id"], pa.int64()).to_numpy(zero_copy_only=False),
@@ -316,8 +311,6 @@ def append_trigram_index(out_dir: str, new_docs: ray.data.Dataset) -> dict:
         )
 
     def fold(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
         g = (
             group.select(pair_schema.names)
             .cast(pair_schema)
@@ -339,9 +332,9 @@ def append_trigram_index(out_dir: str, new_docs: ray.data.Dataset) -> dict:
             }
         )
 
-    new_docs.map_batches(pairs, batch_format="pyarrow", zero_copy_batch=True).groupby(
-        "bucket"
-    ).map_groups(fold, batch_format="pyarrow").write_parquet(
+    bucket_exchange(
+        new_docs, fold, schema=pair_schema, out_schema=out_schema, emit=pairs
+    ).write_parquet(
         out_dir, partition_cols=["bucket"]
     )
     return dict(meta, path=out_dir)

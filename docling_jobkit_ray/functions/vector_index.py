@@ -34,7 +34,6 @@ import json
 import os
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import ray.data
 
@@ -150,7 +149,7 @@ def probe_ivf_index(
     partitions.  Returns (query_id, rank, vec_id, cosine) sorted by
     (query_id, rank); recall < 1 by IVF design — ``n_probe = n_cells``
     makes it exact (pytest pins that equivalence against brute force)."""
-    import heapq
+    from .similarity import _merge_topk
 
     centroids, meta = _load_meta(out_dir)
     q = _normalize(np.asarray(queries, dtype=np.float32))
@@ -208,16 +207,8 @@ def probe_ivf_index(
         local_topk, batch_format="pyarrow", zero_copy_batch=True
     )
 
-    def final_topk(group: pd.DataFrame) -> pd.DataFrame:
-        top = heapq.nlargest(
-            k, group.itertuples(index=False), key=lambda r: (r.cosine, -r.vec_id)
-        )
-        df = pd.DataFrame(top, columns=group.columns)
-        df["rank"] = np.arange(1, len(df) + 1, dtype=np.int64)
-        return df[["query_id", "rank", "vec_id", "cosine"]]
-
     return (
-        partials.groupby("query_id")
-        .map_groups(final_topk, batch_format="pandas")
+        _merge_topk(partials, k)
+        .select_columns(["query_id", "rank", "vec_id", "cosine"])
         .sort(["query_id", "rank"])
     )

@@ -27,8 +27,14 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from ..exchange import bucket_exchange
 from ..sources.pages import read_table
-from .relational import _pin_timestamp_us, _user_bucket_adder, _user_buckets
+from .relational import (
+    _per_user_exchange,
+    _pin_timestamp_us,
+    _user_bucket_adder,
+    _user_buckets,
+)
 
 _WEEK_US = 7 * 24 * 3600 * 1_000_000
 
@@ -48,8 +54,10 @@ def events_intervals(sf_dir: str, *, n_buckets: int | None = None) -> ray.data.D
     Python call per user.  The mean gap needs no ordering at all
     (sum of consecutive gaps == span), so only max_gap pays for the sort.
     """
-    ds = read_table(sf_dir, "events", columns=["user_id", "ts"])
-    add_bucket = _user_bucket_adder(_user_buckets(sf_dir, n_buckets))
+    out_schema = pa.schema(
+        [(c, pa.int64()) for c in ("user_id", "n_events", "span_us", "max_gap_us")]
+        + [("mean_gap_us", pa.float64())]
+    )
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts"]).reset_index(drop=True)
@@ -79,12 +87,9 @@ def events_intervals(sf_dir: str, *, n_buckets: int | None = None) -> ray.data.D
         out["mean_gap_us"] = out["span_us"] / (out["n_events"] - 1)
         return out
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-        .sort("user_id")
-    )
+    return _per_user_exchange(
+        sf_dir, n_buckets, ["user_id", "ts"], per_bucket, out_schema
+    ).sort("user_id")
 
 
 EVENTS_INTERVALS_SQL = """
@@ -125,8 +130,7 @@ def cohort_retention(sf_dir: str, *, n_buckets: int | None = None) -> ray.data.D
     exact integer floor-divisions of the microsecond timestamp — identical
     in DuckDB (``epoch_us(ts) // 604800000000``)."""
     ds = read_table(sf_dir, "events", columns=["user_id", "ts"])
-    n_b = _user_buckets(sf_dir, n_buckets)
-    mask = pa.scalar(n_b - 1, pa.int64())
+    add_bucket = _user_bucket_adder(_user_buckets(sf_dir, n_buckets))
 
     pair_schema = pa.schema(
         [("user_id", pa.int64()), ("week", pa.int64()), ("bucket", pa.int64())]
@@ -141,20 +145,9 @@ def cohort_retention(sf_dir: str, *, n_buckets: int | None = None) -> ray.data.D
             .group_by(["user_id", "week"])
             .aggregate([])
         )
-        return pairs.append_column(
-            "bucket", pc.bit_wise_and(pairs["user_id"], mask)
-        )
+        return add_bucket(pairs)
 
     def count_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return pa.table(
-                {
-                    "cohort_week": pa.array([], pa.int64()),
-                    "week_offset": pa.array([], pa.int64()),
-                    "n_users": pa.array([], pa.int64()),
-                }
-            )
-        group = group.select(pair_schema.names).cast(pair_schema)
         pairs = (
             group.select(["user_id", "week"]).group_by(["user_id", "week"]).aggregate([])
         )
@@ -182,10 +175,17 @@ def cohort_retention(sf_dir: str, *, n_buckets: int | None = None) -> ray.data.D
 
     from ray.data.aggregate import Sum
 
+    out_schema = pa.schema(
+        [(c, pa.int64()) for c in ("cohort_week", "week_offset", "n_users")]
+    )
     return (
-        ds.map_batches(pair_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(count_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            ds,
+            count_bucket,
+            schema=pair_schema,
+            out_schema=out_schema,
+            emit=pair_partial,
+        )
         .groupby(["cohort_week", "week_offset"])
         .aggregate(Sum("n_users", alias_name="n_users"))
         .sort(["cohort_week", "week_offset"])
@@ -220,8 +220,14 @@ def events_transitions(sf_dir: str, *, n_buckets: int | None = None) -> ray.data
     per-bucket pair counting is a vectorized sort + shift; the per-bucket
     (from, to, n) partials are additive, so the final fold is a tiny
     groupby over |event types|^2 rows."""
-    ds = read_table(sf_dir, "events", columns=["user_id", "ts", "event_id", "event_type"])
-    add_bucket = _user_bucket_adder(_user_buckets(sf_dir, n_buckets))
+    columns = ["user_id", "ts", "event_id", "event_type"]
+    out_schema = pa.schema(
+        [
+            ("from_type", pa.string()),
+            ("to_type", pa.string()),
+            ("n_transitions", pa.int64()),
+        ]
+    )
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"]).reset_index(drop=True)
@@ -242,9 +248,7 @@ def events_transitions(sf_dir: str, *, n_buckets: int | None = None) -> ray.data
     from ray.data.aggregate import Sum
 
     return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pandas")
+        _per_user_exchange(sf_dir, n_buckets, columns, per_bucket, out_schema)
         .groupby(["from_type", "to_type"])
         .aggregate(Sum("n_transitions", alias_name="n_transitions"))
         .sort(["from_type", "to_type"])
@@ -283,8 +287,10 @@ def user_event_paths(sf_dir: str, *, n_buckets: int | None = None) -> ray.data.D
     exactly one bucket, so per-bucket paths are complete, never partial
     strings needing a merge).  Path length is bounded by events-per-user —
     the natural per-key bound of event data, not corpus size."""
-    ds = read_table(sf_dir, "events", columns=["user_id", "ts", "event_id", "event_type"])
-    add_bucket = _user_bucket_adder(_user_buckets(sf_dir, n_buckets))
+    columns = ["user_id", "ts", "event_id", "event_type"]
+    out_schema = pa.schema(
+        [("user_id", pa.int64()), ("path", pa.string()), ("n_events", pa.int64())]
+    )
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"]).reset_index(drop=True)
@@ -300,12 +306,9 @@ def user_event_paths(sf_dir: str, *, n_buckets: int | None = None) -> ray.data.D
         out["n_events"] = out["n_events"].astype("int64")
         return out
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-        .sort("user_id")
-    )
+    return _per_user_exchange(
+        sf_dir, n_buckets, columns, per_bucket, out_schema
+    ).sort("user_id")
 
 
 USER_EVENT_PATHS_SQL = """
@@ -336,8 +339,10 @@ def events_since_purchase(sf_dir: str, *, n_buckets: int | None = None) -> ray.d
     the marker flags segments the stream, then position-within-segment is
     arange minus each segment start (the repeat/searchsorted trick) —
     never a Python loop over users or segments."""
-    ds = read_table(sf_dir, "events", columns=["user_id", "ts", "event_id", "event_type"])
-    add_bucket = _user_bucket_adder(_user_buckets(sf_dir, n_buckets))
+    columns = ["user_id", "ts", "event_id", "event_type"]
+    out_schema = pa.schema(
+        [(c, pa.int64()) for c in ("event_id", "user_id", "events_since_purchase")]
+    )
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"]).reset_index(drop=True)
@@ -356,12 +361,9 @@ def events_since_purchase(sf_dir: str, *, n_buckets: int | None = None) -> ray.d
             }
         )
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-        .sort("event_id")
-    )
+    return _per_user_exchange(
+        sf_dir, n_buckets, columns, per_bucket, out_schema
+    ).sort("event_id")
 
 
 EVENTS_SINCE_PURCHASE_SQL = """
@@ -398,8 +400,7 @@ def user_activity_setops(sf_dir: str, *, n_buckets: int | None = None) -> ray.da
     presence-bit OR + one vectorized CASE.  No join ever materializes: the
     two sides ride the same exchange as a 0/1 column."""
     ds = read_table(sf_dir, "events", columns=["user_id", "ts"])
-    n_b = _user_buckets(sf_dir, n_buckets)
-    mask = pa.scalar(n_b - 1, pa.int64())
+    add_bucket = _user_bucket_adder(_user_buckets(sf_dir, n_buckets))
     split = pa.scalar(
         pc.strptime(_HALF_SPLIT, format="%Y-%m-%d", unit="us").as_py(),
         pa.timestamp("us"),
@@ -416,19 +417,9 @@ def user_activity_setops(sf_dir: str, *, n_buckets: int | None = None) -> ray.da
             .group_by(["user_id", "half"])
             .aggregate([])
         )
-        return pairs.append_column(
-            "bucket", pc.bit_wise_and(pairs["user_id"], mask)
-        )
+        return add_bucket(pairs)
 
     def status_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return pa.table(
-                {
-                    "user_id": pa.array([], pa.int64()),
-                    "status": pa.array([], pa.string()),
-                }
-            )
-        group = group.select(pair_schema.names).cast(pair_schema)
         per_user = (
             group.group_by("user_id")
             .aggregate([("half", "min"), ("half", "max")])
@@ -446,12 +437,10 @@ def user_activity_setops(sf_dir: str, *, n_buckets: int | None = None) -> ray.da
         )
         return pa.table({"user_id": per_user["user_id"], "status": status})
 
-    return (
-        ds.map_batches(pair_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(status_bucket, batch_format="pyarrow")
-        .sort("user_id")
-    )
+    out_schema = pa.schema([("user_id", pa.int64()), ("status", pa.string())])
+    return bucket_exchange(
+        ds, status_bucket, schema=pair_schema, out_schema=out_schema, emit=pair_partial
+    ).sort("user_id")
 
 
 USER_ACTIVITY_SETOPS_SQL = f"""
@@ -573,20 +562,17 @@ _ASOF_UNION_SCHEMA = pa.schema(
 )
 
 
-def _asof_union(sf_dir: str, n_buckets: int | None):
-    """Tagged-union emit shared by the two temporal joins: purchase and
+def _asof_exchange(sf_dir: str, n_buckets: int | None, fold, out_schema: pa.Schema):
+    """Tagged-union exchange shared by the two temporal joins: purchase and
     click events ride ONE user-bucketed exchange as (user, int64-us ts,
     event_id, role) rows — timestamps travel as exact int64 microseconds so
     no pandas ns round-trip or shuffle unit degradation can touch them."""
-    n_b = _user_buckets(sf_dir, n_buckets)
-    mask = pa.scalar(n_b - 1, pa.int64())
+    add_bucket = _user_bucket_adder(_user_buckets(sf_dir, n_buckets))
     ds = read_table(
         sf_dir, "events", columns=["event_id", "ts", "user_id", "event_type"]
     )
 
     def emit(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return _ASOF_UNION_SCHEMA.empty_table()
         role = pc.case_when(
             pc.make_struct(
                 pc.equal(batch["event_type"], pa.scalar(_ASOF_RIGHT_TYPE)),
@@ -605,28 +591,18 @@ def _asof_union(sf_dir: str, n_buckets: int | None):
                 "role": role,
             }
         ).filter(pc.is_valid(role))
-        return t.append_column("bucket", pc.bit_wise_and(t["user_id"], mask))
+        return add_bucket(t)
 
-    return ds.map_batches(emit, batch_format="pyarrow", zero_copy_batch=True)
+    return bucket_exchange(
+        ds, fold, schema=_ASOF_UNION_SCHEMA, out_schema=out_schema, emit=emit
+    )
 
 
 def _split_roles(group: pa.Table) -> tuple[pd.DataFrame, pd.DataFrame] | None:
-    """Cast a shuffled bucket group back to the declared union schema and
-    split it into (clicks, purchases) pandas frames of exact int64 columns
-    (the nullable-int64 pandas coercion hazard never arises: every column
-    is int64 and non-null by construction)."""
-    if group.num_rows == 0 or group.num_columns == 0:
-        return None
-    group = group.select(["user_id", "ts_us", "event_id", "role"]).cast(
-        pa.schema(
-            [
-                ("user_id", pa.int64()),
-                ("ts_us", pa.int64()),
-                ("event_id", pa.int64()),
-                ("role", pa.int64()),
-            ]
-        )
-    )
+    """Split a bucket group of the union schema into (clicks, purchases)
+    pandas frames of exact int64 columns (the nullable-int64 pandas
+    coercion hazard never arises: every column is int64 and non-null by
+    construction)."""
     df = group.to_pandas()
     clicks = df[df["role"] == 0]
     purchases = df[df["role"] == 1]
@@ -665,8 +641,6 @@ def events_asof_last_click(
     arbitrary tie row) hash-exact.  Purchases with no prior click drop
     (inner asof).  Output gap_us is an exact int64 microsecond difference.
     """
-    union = _asof_union(sf_dir, n_buckets)
-
     out_schema = pa.schema(
         [
             ("event_id", pa.int64()),
@@ -723,8 +697,7 @@ def events_asof_last_click(
         )
 
     return (
-        union.groupby("bucket")
-        .map_groups(asof_bucket, batch_format="pyarrow")
+        _asof_exchange(sf_dir, n_buckets, asof_bucket, out_schema)
         .map_batches(
             _pin_timestamp_us(["ts", "click_ts"]), batch_format="pyarrow"
         )
@@ -766,8 +739,6 @@ def events_band_join(
     no per-user Python loop, no pair materialization.  The span padding
     (+2 * band + 2) guarantees a window never crosses a user boundary.
     Zero-click purchases are kept with n_clicks = 0 (left semantics)."""
-    union = _asof_union(sf_dir, n_buckets)
-
     out_schema = pa.schema(
         [
             ("event_id", pa.int64()),
@@ -815,8 +786,7 @@ def events_band_join(
         )
 
     return (
-        union.groupby("bucket")
-        .map_groups(band_bucket, batch_format="pyarrow")
+        _asof_exchange(sf_dir, n_buckets, band_bucket, out_schema)
         .map_batches(_pin_timestamp_us(["ts"]), batch_format="pyarrow")
         .sort("event_id")
     )
@@ -858,17 +828,14 @@ def events_gapfill_hourly(
     for offsets); observed counts land on the grid by index arithmetic
     (start offset + hour delta), never a join.  Grid size is bounded by
     users x observation span, independent of the event count."""
-    n_b = _user_buckets(sf_dir, n_buckets)
-    mask = pa.scalar(n_b - 1, pa.int64())
+    add_bucket = _user_bucket_adder(_user_buckets(sf_dir, n_buckets))
     ds = read_table(sf_dir, "events", columns=["user_id", "ts"])
 
     part_schema = pa.schema(
-        [("user_id", pa.int64()), ("hour_us", pa.int64()), ("n", pa.int64())]
+        [(c, pa.int64()) for c in ("user_id", "hour_us", "n", "bucket")]
     )
 
     def partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return part_schema.insert(3, pa.field("bucket", pa.int64())).empty_table()
         hour = pc.multiply(
             pc.divide(
                 pc.cast(pc.cast(batch["ts"], pa.timestamp("us")), pa.int64()),
@@ -887,7 +854,7 @@ def events_gapfill_hourly(
             .aggregate([([], "count_all")])
             .rename_columns(["user_id", "hour_us", "n"])
         )
-        return t.append_column("bucket", pc.bit_wise_and(t["user_id"], mask))
+        return add_bucket(t)
 
     out_schema = pa.schema(
         [
@@ -898,12 +865,8 @@ def events_gapfill_hourly(
     )
 
     def expand_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
         t = (
-            group.select(part_schema.names)
-            .cast(part_schema)
-            .group_by(["user_id", "hour_us"])
+            group.group_by(["user_id", "hour_us"])
             .aggregate([("n", "sum")])
             .rename_columns(["user_id", "hour_us", "n"])
         )
@@ -942,9 +905,9 @@ def events_gapfill_hourly(
         )
 
     return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(expand_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            ds, expand_bucket, schema=part_schema, out_schema=out_schema, emit=partial
+        )
         .map_batches(_pin_timestamp_us(["hour_ts"]), batch_format="pyarrow")
         .sort(["user_id", "hour_ts"])
     )
@@ -982,34 +945,6 @@ def events_trigram_paths(
     counts fold per bucket before the tiny global (e1,e2,e3) aggregate
     (bounded by |event types|^3).  Deterministic top-k: count desc, then
     lexicographic triple."""
-    n_b = _user_buckets(sf_dir, n_buckets)
-    mask = pa.scalar(n_b - 1, pa.int64())
-    ds = read_table(sf_dir, "events", columns=["user_id", "ts", "event_id", "event_type"])
-
-    union_schema = pa.schema(
-        [
-            ("user_id", pa.int64()),
-            ("ts_us", pa.int64()),
-            ("event_id", pa.int64()),
-            ("event_type", pa.string()),
-        ]
-    )
-
-    def emit(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return union_schema.insert(4, pa.field("bucket", pa.int64())).empty_table()
-        t = pa.table(
-            {
-                "user_id": pc.cast(batch["user_id"], pa.int64()),
-                "ts_us": pc.cast(
-                    pc.cast(batch["ts"], pa.timestamp("us")), pa.int64()
-                ),
-                "event_id": pc.cast(batch["event_id"], pa.int64()),
-                "event_type": batch["event_type"],
-            }
-        )
-        return t.append_column("bucket", pc.bit_wise_and(t["user_id"], mask))
-
     tri_schema = pa.schema(
         [
             ("e1", pa.string()),
@@ -1020,12 +955,8 @@ def events_trigram_paths(
     )
 
     def triples_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return tri_schema.empty_table()
         df = (
-            group.select(union_schema.names)
-            .cast(union_schema)
-            .to_pandas()
+            group.to_pandas()
             .sort_values(["user_id", "ts_us", "event_id"], kind="stable")
             .reset_index(drop=True)
         )
@@ -1051,10 +982,11 @@ def events_trigram_paths(
 
     from ray.data.aggregate import Sum
 
+    columns = ["user_id", "ts_us", "event_id", "event_type"]
     return (
-        ds.map_batches(emit, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(triples_bucket, batch_format="pyarrow")
+        _per_user_exchange(
+            sf_dir, n_buckets, columns, triples_bucket, tri_schema, "pyarrow"
+        )
         .groupby(["e1", "e2", "e3"])
         .aggregate(Sum("n", alias_name="n"))
         .sort(["n", "e1", "e2", "e3"], descending=[True, False, False, False])
@@ -1096,34 +1028,6 @@ def events_debounced(
 
     Same-timestamp duplicates order by event_id, so the later one always
     sees a zero gap and drops — deterministic on both engines."""
-    n_b = _user_buckets(sf_dir, n_buckets)
-    mask = pa.scalar(n_b - 1, pa.int64())
-    ds = read_table(sf_dir, "events", columns=["event_id", "user_id", "event_type", "ts"])
-
-    union_schema = pa.schema(
-        [
-            ("event_id", pa.int64()),
-            ("user_id", pa.int64()),
-            ("event_type", pa.string()),
-            ("ts_us", pa.int64()),
-        ]
-    )
-
-    def emit(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return union_schema.insert(4, pa.field("bucket", pa.int64())).empty_table()
-        t = pa.table(
-            {
-                "event_id": pc.cast(batch["event_id"], pa.int64()),
-                "user_id": pc.cast(batch["user_id"], pa.int64()),
-                "event_type": batch["event_type"],
-                "ts_us": pc.cast(
-                    pc.cast(batch["ts"], pa.timestamp("us")), pa.int64()
-                ),
-            }
-        )
-        return t.append_column("bucket", pc.bit_wise_and(t["user_id"], mask))
-
     out_schema = pa.schema(
         [
             ("event_id", pa.int64()),
@@ -1134,12 +1038,8 @@ def events_debounced(
     )
 
     def debounce_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
         df = (
-            group.select(union_schema.names)
-            .cast(union_schema)
-            .to_pandas()
+            group.to_pandas()
             .sort_values(["user_id", "event_type", "ts_us", "event_id"], kind="stable")
             .reset_index(drop=True)
         )
@@ -1160,10 +1060,11 @@ def events_debounced(
             }
         )
 
+    columns = ["event_id", "user_id", "event_type", "ts_us"]
     return (
-        ds.map_batches(emit, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(debounce_bucket, batch_format="pyarrow")
+        _per_user_exchange(
+            sf_dir, n_buckets, columns, debounce_bucket, out_schema, "pyarrow"
+        )
         .map_batches(_pin_timestamp_us(["ts"]), batch_format="pyarrow")
         .sort("event_id")
     )
@@ -1413,15 +1314,12 @@ def events_attribution(
     totals are complete locally and the finishing sort is the only other
     all-to-all.
     """
-    n_b = _user_buckets(sf_dir, n_buckets)
-    mask = pa.scalar(n_b - 1, pa.int64())
+    add_bucket = _user_bucket_adder(_user_buckets(sf_dir, n_buckets))
     ds = read_table(
         sf_dir, "events", columns=["event_id", "ts", "user_id", "event_type", "value"]
     )
 
     def emit(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return _ATTR_UNION_SCHEMA.empty_table()
         role = pc.case_when(
             pc.make_struct(
                 pc.equal(batch["event_type"], pa.scalar("click")),
@@ -1444,7 +1342,7 @@ def events_attribution(
                 "cents": cents,
             }
         ).filter(pc.is_valid(role))
-        return t.append_column("bucket", pc.bit_wise_and(t["user_id"], mask))
+        return add_bucket(t)
 
     out_schema = pa.schema(
         [
@@ -1456,9 +1354,6 @@ def events_attribution(
     )
 
     def attribute_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
-        group = group.select(_ATTR_UNION_SCHEMA.names).cast(_ATTR_UNION_SCHEMA)
         role = group["role"].to_numpy(zero_copy_only=False)
         user = group["user_id"].to_numpy(zero_copy_only=False)
         ts = group["ts_us"].to_numpy(zero_copy_only=False)
@@ -1521,9 +1416,13 @@ def events_attribution(
         )
 
     return (
-        ds.map_batches(emit, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(attribute_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            ds,
+            attribute_bucket,
+            schema=_ATTR_UNION_SCHEMA,
+            out_schema=out_schema,
+            emit=emit,
+        )
         .sort("click_id")
     )
 
@@ -1756,8 +1655,7 @@ def user_event_entropy(sf_dir: str, *, n_buckets: int | None = None) -> ray.data
     vectorized bincount finish per user.  Types never broadcast; the
     exchange carries (user, type, partial-count) triples only.
     """
-    n_b = _user_buckets(sf_dir, n_buckets)
-    mask = pa.scalar(n_b - 1, pa.int64())
+    add_bucket = _user_bucket_adder(_user_buckets(sf_dir, n_buckets))
 
     ds = read_table(sf_dir, "events", columns=["user_id", "event_type"])
 
@@ -1779,8 +1677,6 @@ def user_event_entropy(sf_dir: str, *, n_buckets: int | None = None) -> ray.data
     )
 
     def partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return part_schema.empty_table()
         t = (
             pa.table(
                 {
@@ -1792,12 +1688,9 @@ def user_event_entropy(sf_dir: str, *, n_buckets: int | None = None) -> ray.data
             .aggregate([([], "count_all")])
             .rename_columns(["user_id", "event_type", "n"])
         )
-        return t.append_column("bucket", pc.bit_wise_and(t["user_id"], mask))
+        return add_bucket(t)
 
     def entropy_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
-        group = group.select(part_schema.names).cast(part_schema)
         folded = (
             group.select(["user_id", "event_type", "n"])
             .group_by(["user_id", "event_type"])
@@ -1826,9 +1719,9 @@ def user_event_entropy(sf_dir: str, *, n_buckets: int | None = None) -> ray.data
         )
 
     return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(entropy_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            ds, entropy_bucket, schema=part_schema, out_schema=out_schema, emit=partial
+        )
         .sort("user_id")
     )
 
@@ -1944,19 +1837,6 @@ def events_quota_filter(
     per-key Python call.  Output keeps the rank so consumers can see the
     quota position.
     """
-    n_b = _user_buckets(sf_dir, n_buckets)
-    mask = pa.scalar(n_b - 1, pa.int64())
-
-    ds = read_table(sf_dir, "events", columns=["event_id", "user_id", "ts"])
-
-    union_schema = pa.schema(
-        [
-            ("event_id", pa.int64()),
-            ("user_id", pa.int64()),
-            ("ts_us", pa.int64()),
-            ("bucket", pa.int64()),
-        ]
-    )
     out_schema = pa.schema(
         [
             ("event_id", pa.int64()),
@@ -1966,24 +1846,7 @@ def events_quota_filter(
         ]
     )
 
-    def emit(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return union_schema.empty_table()
-        t = pa.table(
-            {
-                "event_id": pc.cast(batch["event_id"], pa.int64()),
-                "user_id": pc.cast(batch["user_id"], pa.int64()),
-                "ts_us": pc.cast(
-                    pc.cast(batch["ts"], pa.timestamp("us")), pa.int64()
-                ),
-            }
-        )
-        return t.append_column("bucket", pc.bit_wise_and(t["user_id"], mask))
-
     def quota_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
-        group = group.select(union_schema.names).cast(union_schema)
         eid = group["event_id"].to_numpy(zero_copy_only=False)
         user = group["user_id"].to_numpy(zero_copy_only=False)
         ts = group["ts_us"].to_numpy(zero_copy_only=False)
@@ -2006,12 +1869,10 @@ def events_quota_filter(
             }
         )
 
-    return (
-        ds.map_batches(emit, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(quota_bucket, batch_format="pyarrow")
-        .sort("event_id")
-    )
+    columns = ["event_id", "user_id", "ts_us"]
+    return _per_user_exchange(
+        sf_dir, n_buckets, columns, quota_bucket, out_schema, "pyarrow"
+    ).sort("event_id")
 
 
 EVENTS_QUOTA_FILTER_SQL = f"""
@@ -2065,27 +1926,21 @@ def rolling_active_users(
     epoch-days — exact on both engines, no timestamp-unit pinning)."""
     from ray.data.aggregate import Sum
 
-    n_b = _user_buckets(sf_dir, n_buckets)
-    mask = pa.scalar(n_b - 1, pa.int64())
+    add_bucket = _user_bucket_adder(_user_buckets(sf_dir, n_buckets))
     w = window_days
 
     ds = read_table(sf_dir, "events", columns=["user_id", "ts"])
 
     def pair_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return _RAU_PAIR_SCHEMA.empty_table()
         day = pc.divide(pc.cast(batch["ts"], pa.int64()), pa.scalar(_DAY_US_B, pa.int64()))
         t = (
             pa.table({"user_id": batch["user_id"], "day": day})
             .group_by(["user_id", "day"])
             .aggregate([])
         )
-        return t.append_column("bucket", pc.bit_wise_and(t["user_id"], mask))
+        return add_bucket(t)
 
     def delta_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return _RAU_DELTA_SCHEMA.empty_table()
-        group = group.select(_RAU_PAIR_SCHEMA.names).cast(_RAU_PAIR_SCHEMA)
         df = group.select(["user_id", "day"]).to_pandas().drop_duplicates()
         user = df["user_id"].to_numpy()
         day = df["day"].to_numpy()
@@ -2114,9 +1969,13 @@ def rolling_active_users(
         return pa.table({"key": pa.array(keys, pa.int64()), "n": pa.array(ns, pa.int64())})
 
     folded = (
-        ds.map_batches(pair_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(delta_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            ds,
+            delta_bucket,
+            schema=_RAU_PAIR_SCHEMA,
+            out_schema=_RAU_DELTA_SCHEMA,
+            emit=pair_partial,
+        )
         .groupby("key")
         .aggregate(Sum(on="n", alias_name="n"))
     )
@@ -2189,9 +2048,7 @@ def sessions_peak_concurrency(
     running sum over distinct boundary microseconds -> per-hour max and
     max_by(c, t) last value -> lag carry-in.
     """
-    ds = read_table(sf_dir, "events", columns=["user_id", "ts"])
     gap = pd.Timedelta(minutes=gap_minutes)
-    add_bucket = _user_bucket_adder(_user_buckets(sf_dir, n_buckets))
 
     delta_schema = pa.schema(
         [("t", pa.int64()), ("d", pa.int64()), ("hour", pa.int64())]
@@ -2223,9 +2080,6 @@ def sessions_peak_concurrency(
     )
 
     def per_hour(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return hour_schema.empty_table()
-        group = group.select(delta_schema.names).cast(delta_schema)
         t = group["t"].to_numpy(zero_copy_only=False)
         d = group["d"].to_numpy(zero_copy_only=False)
         order = np.argsort(t, kind="stable")
@@ -2241,12 +2095,11 @@ def sessions_peak_concurrency(
             }
         )
 
-    hours = (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(sessions_to_deltas, batch_format="pandas")
-        .groupby("hour")
-        .map_groups(per_hour, batch_format="pyarrow")
+    deltas = _per_user_exchange(
+        sf_dir, n_buckets, ["user_id", "ts"], sessions_to_deltas, delta_schema
+    )
+    hours = bucket_exchange(
+        deltas, per_hour, key="hour", schema=delta_schema, out_schema=hour_schema
     )
 
     # bounded: driver finish over K hour rows (K ~ time span in hours)
@@ -2346,11 +2199,9 @@ def hourly_seasonal_anomalies(sf_dir: str) -> ray.data.Dataset:
         .aggregate(Sum(on="n", alias_name="n"))
     )
 
+    hod_schema = pa.schema([(c, pa.int64()) for c in ("hour", "n", "hod")])
+
     def add_hod(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return pa.schema(
-                [("hour", pa.int64()), ("n", pa.int64()), ("hod", pa.int64())]
-            ).empty_table()
         hod = pc.subtract(
             batch["hour"],
             pc.multiply(
@@ -2372,11 +2223,6 @@ def hourly_seasonal_anomalies(sf_dir: str) -> ray.data.Dataset:
     )
 
     def per_hod(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
-        group = group.select(["hour", "n", "hod"]).cast(
-            pa.schema([("hour", pa.int64()), ("n", pa.int64()), ("hod", pa.int64())])
-        )
         hour = group["hour"].to_numpy(zero_copy_only=False)
         n = group["n"].to_numpy(zero_copy_only=False)
         m = len(n)
@@ -2400,9 +2246,14 @@ def hourly_seasonal_anomalies(sf_dir: str) -> ray.data.Dataset:
         )
 
     return (
-        counts.map_batches(add_hod, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("hod")
-        .map_groups(per_hod, batch_format="pyarrow")
+        bucket_exchange(
+            counts,
+            per_hod,
+            key="hod",
+            schema=hod_schema,
+            out_schema=out_schema,
+            emit=add_hod,
+        )
         .sort("hour_ts")
     )
 
@@ -2545,9 +2396,15 @@ def session_type_affinity(
     The lift arithmetic runs in PYTHON INTS driver-side over those few
     rows (n_ab * N * 1e6 overflows int64 at corpus scale; the oracle's
     HUGEINT does the same math)."""
-    ds = read_table(sf_dir, "events", columns=["user_id", "ts", "event_type"])
     gap = pd.Timedelta(minutes=gap_minutes)
-    add_bucket = _user_bucket_adder(_user_buckets(sf_dir, n_buckets))
+    part_schema = pa.schema(
+        [
+            ("kind", pa.int64()),
+            ("a", pa.string()),
+            ("b", pa.string()),
+            ("n", pa.int64()),
+        ]
+    )
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts"]).reset_index(drop=True)
@@ -2580,12 +2437,9 @@ def session_type_affinity(
         rows.append({"kind": 2, "a": "", "b": "", "n": n_sessions})
         return pd.DataFrame(rows, columns=["kind", "a", "b", "n"])
 
-    parts = (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-        .to_pandas()  # <= n_buckets * (|types|^2 + |types| + 1) tiny rows
-    )
+    parts = _per_user_exchange(
+        sf_dir, n_buckets, ["user_id", "ts", "event_type"], per_bucket, part_schema
+    ).to_pandas()  # <= n_buckets * (|types|^2 + |types| + 1) tiny rows
     agg = parts.groupby(["kind", "a", "b"], as_index=False)["n"].sum()
     total = int(agg.loc[agg["kind"] == 2, "n"].sum())
     marg = {
@@ -2916,8 +2770,9 @@ def events_max_burst(sf_dir: str, *, n_buckets: int | None = None) -> ray.data.D
     a bucket users concatenate onto a dense-uid combined key (the
     events_band_join trick) so BOTH probes are two vectorized
     searchsorted calls, never a per-user loop."""
-    ds = read_table(sf_dir, "events", columns=["user_id", "ts"])
-    add_bucket = _user_bucket_adder(_user_buckets(sf_dir, n_buckets))
+    out_schema = pa.schema(
+        [(c, pa.int64()) for c in ("user_id", "n_events", "max_burst")]
+    )
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts"]).reset_index(drop=True)
@@ -2940,12 +2795,9 @@ def events_max_burst(sf_dir: str, *, n_buckets: int | None = None) -> ray.data.D
         res["user_id"] = res["user_id"].astype("int64")
         return res
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-        .sort("user_id")
-    )
+    return _per_user_exchange(
+        sf_dir, n_buckets, ["user_id", "ts"], per_bucket, out_schema
+    ).sort("user_id")
 
 
 EVENTS_MAX_BURST_SQL = """
@@ -3146,17 +2998,11 @@ def events_ewma(sf_dir: str, *, n_buckets: int | None = None) -> ray.data.Datase
 
     ds = read_table(sf_dir, "events", columns=["event_id", "ts", "user_id", "value"])
 
+    wire_schema = pa.schema(
+        [(c, pa.int64()) for c in ("bucket", "user_id", "ts_us", "event_id", "cents")]
+    )
+
     def add_bucket(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return pa.schema(
-                [
-                    ("bucket", pa.int64()),
-                    ("user_id", pa.int64()),
-                    ("ts_us", pa.int64()),
-                    ("event_id", pa.int64()),
-                    ("cents", pa.int64()),
-                ]
-            ).empty_table()
         uid = pc.cast(batch["user_id"], pa.int64())
         cents = pc.cast(
             pc.round(pc.multiply(batch["value"], pa.scalar(100.0))), pa.int64()
@@ -3181,8 +3027,6 @@ def events_ewma(sf_dir: str, *, n_buckets: int | None = None) -> ray.data.Datase
     )
 
     def per_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
         # frompyfunc objects don't pickle — build per group call (cheap
         # next to the scan it drives)
         _step = np.frompyfunc(lambda s, c: (c + 7 * s) // 8, 2, 1)
@@ -3207,9 +3051,9 @@ def events_ewma(sf_dir: str, *, n_buckets: int | None = None) -> ray.data.Datase
         )
 
     return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            ds, per_bucket, schema=wire_schema, out_schema=out_schema, emit=add_bucket
+        )
         .sort(["user_id", "event_id"])
     )
 
@@ -3287,8 +3131,6 @@ def user_jaccard_matrix(sf_dir: str, *, n_buckets: int | None = None) -> pa.Tabl
     mask_schema = pa.schema([("mask", pa.int64()), ("c", pa.int64())])
 
     def pair_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return pair_schema.empty_table()
         bits = pa.array(
             [bit_of[t] for t in batch["event_type"].to_pylist()], pa.int64()
         )
@@ -3300,9 +3142,6 @@ def user_jaccard_matrix(sf_dir: str, *, n_buckets: int | None = None) -> pa.Tabl
         return t.append_column("bucket", pc.bit_wise_and(t["user_id"], bmask))
 
     def mask_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return mask_schema.empty_table()
-        group = group.select(pair_schema.names).cast(pair_schema)
         uid = np.asarray(group["user_id"], np.int64)
         bit = np.asarray(group["bit"], np.int64)
         order = np.argsort(uid, kind="stable")
@@ -3317,9 +3156,13 @@ def user_jaccard_matrix(sf_dir: str, *, n_buckets: int | None = None) -> pa.Tabl
         )
 
     rows = (
-        ds.map_batches(pair_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(mask_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            ds,
+            mask_bucket,
+            schema=pair_schema,
+            out_schema=mask_schema,
+            emit=pair_partial,
+        )
         .groupby("mask")
         .aggregate(Sum(on="c", alias_name="c"))
         .take_all()  # bounded: <= 2^|types| mask rows
@@ -3504,42 +3347,13 @@ def session_entry_exit_matrix(
     """
     from ray.data.aggregate import Sum
 
-    ds = read_table(sf_dir, "events", columns=["user_id", "ts", "event_id", "event_type"])
-    n_b = _user_buckets(sf_dir, n_buckets)
-    bmask = pa.scalar(n_b - 1, pa.int64())
     gap_us = gap_minutes * 60_000_000
-
-    row_schema = pa.schema(
-        [
-            ("bucket", pa.int64()),
-            ("user_id", pa.int64()),
-            ("ts_us", pa.int64()),
-            ("event_id", pa.int64()),
-            ("event_type", pa.string()),
-        ]
-    )
+    columns = ["user_id", "ts_us", "event_id", "event_type"]
     cell_schema = pa.schema(
         [("entry_type", pa.string()), ("exit_type", pa.string()), ("n", pa.int64())]
     )
 
-    def rows_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return row_schema.empty_table()
-        uid = pc.cast(batch["user_id"], pa.int64())
-        return pa.table(
-            {
-                "bucket": pc.bit_wise_and(uid, bmask),
-                "user_id": uid,
-                "ts_us": pc.cast(pc.cast(batch["ts"], pa.timestamp("us")), pa.int64()),
-                "event_id": pc.cast(batch["event_id"], pa.int64()),
-                "event_type": batch["event_type"],
-            }
-        )
-
     def fold_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return cell_schema.empty_table()
-        group = group.select(row_schema.names).cast(row_schema)
         uid = np.asarray(group["user_id"], np.int64)
         ts = np.asarray(group["ts_us"], np.int64)
         eid = np.asarray(group["event_id"], np.int64)
@@ -3563,9 +3377,9 @@ def session_entry_exit_matrix(
         )
 
     return (
-        ds.map_batches(rows_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(fold_bucket, batch_format="pyarrow")
+        _per_user_exchange(
+            sf_dir, n_buckets, columns, fold_bucket, cell_schema, "pyarrow"
+        )
         .groupby(["entry_type", "exit_type"])
         .aggregate(Sum(on="n", alias_name="n"))
         .sort(["entry_type", "exit_type"])
@@ -3754,8 +3568,6 @@ def events_asof_next_purchase(
     )
 
     def rows_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return row_schema.empty_table()
         et = batch["event_type"]
         is_c = pc.cast(pc.equal(et, "click"), pa.int64())
         is_p = pc.cast(pc.equal(et, "purchase"), pa.int64())
@@ -3774,9 +3586,6 @@ def events_asof_next_purchase(
         )
 
     def fold_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
-        group = group.select(row_schema.names).cast(row_schema)
         uid = np.asarray(group["user_id"], np.int64)
         ts = np.asarray(group["ts_us"], np.int64)
         eid = np.asarray(group["event_id"], np.int64)
@@ -3814,9 +3623,9 @@ def events_asof_next_purchase(
         )
 
     return (
-        ds.map_batches(rows_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(fold_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            ds, fold_bucket, schema=row_schema, out_schema=out_schema, emit=rows_partial
+        )
         .sort("event_id")
     )
 
@@ -3974,8 +3783,6 @@ def ab_cuped_uplift(sf_dir: str) -> pa.Table:
     )
 
     def user_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return row_schema.empty_table()
         uid = pc.cast(batch["user_id"], pa.int64()).to_numpy(zero_copy_only=False)
         us = pc.cast(pc.cast(batch["ts"], pa.timestamp("us")), pa.int64()).to_numpy(
             zero_copy_only=False
@@ -4012,10 +3819,7 @@ def ab_cuped_uplift(sf_dir: str) -> pa.Table:
         ]
     )
 
-    def fold_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return mom_schema.empty_table()
-        g = group.select(row_schema.names).cast(row_schema)
+    def fold_bucket(g: pa.Table) -> pa.Table:
         uid = g["user_id"].to_numpy(zero_copy_only=False)
         x = g["x"].to_numpy(zero_copy_only=False)
         y = g["y"].to_numpy(zero_copy_only=False)
@@ -4038,9 +3842,14 @@ def ab_cuped_uplift(sf_dir: str) -> pa.Table:
         return pa.table({k: pa.array(v, pa.int64()) for k, v in rows.items()})
 
     parts = (
-        ds.map_batches(user_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("ubucket")
-        .map_groups(fold_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            ds,
+            fold_bucket,
+            key="ubucket",
+            schema=row_schema,
+            out_schema=mom_schema,
+            emit=user_partial,
+        )
         .take_all()  # bounded: 2 rows per bucket
     )
     tot = {a: [0, 0, 0, 0, 0] for a in (0, 1)}  # n, sx, sy, sxx, sxy

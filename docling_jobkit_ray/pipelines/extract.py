@@ -14,7 +14,7 @@ Two plans:
   same packed per-shard tasks.
 - ``sliced``: oversized binary docs fan out into page slices
   (``flat_map``-style plan), are extracted in parallel and reassembled by
-  ``groupby("url").map_groups`` — the reference's slice fan-out
+  one url-bucket ``exchange.bucket_exchange`` — the reference's slice fan-out
   (``serve_deployment.py:437-464,510-549``) as a shuffle keyed on url.
   The big-binary filter re-reads the input; it is cheap (header-only
   inspection) and only pays off when oversized docs dominate wall time.
@@ -26,11 +26,13 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from ..exchange import bucket_exchange
 from ..extract.errors import STATUS_FAILURE
 from ..extract.record import ExtractOptions
 from ..sources.pages import list_shards, read_shard, shard_items
-from ..stages.extract import ExtractDocuments, options_to_kwargs
+from ..stages.extract import EXTRACTED_SCHEMA, ExtractDocuments, options_to_kwargs
 from ..stages.slices import (
+    SLICE_EXTRACT_SCHEMA,
     ExtractSlices,
     drop_big_binary,
     keep_big_binary,
@@ -173,12 +175,13 @@ def extract_pipeline(
             target_rows_per_bucket=100_000,
             min_buckets=64,
         )
-        big_out = (
-            slice_parts.map_batches(
-                url_bucket_adder(n_reasm), batch_format="pyarrow", zero_copy_batch=True
-            )
-            .groupby("bucket")
-            .map_groups(reassemble_bucket, batch_format="pandas")
+        big_out = bucket_exchange(
+            slice_parts,
+            reassemble_bucket,
+            schema=SLICE_EXTRACT_SCHEMA.append(pa.field("bucket", pa.int32())),
+            out_schema=EXTRACTED_SCHEMA,
+            emit=url_bucket_adder(n_reasm),
+            batch_format="pandas",
         )
         # Cast the pandas-built blocks to the exact EXTRACTED_SCHEMA so the
         # union with the Arrow-native branch has one schema.

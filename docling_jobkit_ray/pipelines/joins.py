@@ -1,5 +1,5 @@
-"""Bucketed shuffle join — a hash join built from groupby + per-bucket Arrow
-joins.
+"""Bucketed shuffle join — a hash join built from one bucket exchange +
+per-bucket Arrow joins.
 
 Why not ``Dataset.join`` everywhere: Ray 2.49's native hash-shuffle join
 (``ray/data/_internal/execution/operators/join.py:finalize``) builds each
@@ -14,8 +14,10 @@ and use this helper when a side can be sparse.
 
 Shape: both sides are tagged and widened to a shared superset schema (typed
 Arrow nulls, so dtypes survive the shuffle exactly), unioned, hash-bucketed
-on the key (`key % num_buckets` — the CLAUDE.md bucketize rule), and each
-bucket group runs ONE in-memory ``pyarrow.Table.join``.  The shuffle payload
+on the key (`key % num_buckets` — the CLAUDE.md bucketize rule) through
+``exchange.bucket_exchange`` (``exchange.py`` is the only module that calls
+``map_groups``; tests/test_exchange.py guards it), and each bucket group
+runs ONE in-memory ``pyarrow.Table.join``.  The shuffle payload
 is the same rows a native hash join would move; the per-bucket join is acero
 (C++), not a Python row loop.  Skewed keys: a bucket holds many keys, so one
 hot key cannot exceed a bucket; crank ``num_buckets`` for wider spread.
@@ -26,6 +28,8 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
+
+from ..exchange import bucket_exchange
 
 _SIDE = "__bj_side"
 _BUCKET = "__bj_bucket"
@@ -102,10 +106,6 @@ def bucketed_join(
     )
 
     def merge(group: pa.Table) -> pa.Table:
-        # Ray's shuffle can round-trip blocks through pandas, which degrades
-        # an all-null typed column to Arrow `null` type — re-cast to the
-        # declared superset schema before joining
-        group = group.select(expected.names).cast(expected)
         side = group[_SIDE]
         l_part = group.filter(pc.equal(side, 0)).select(left_names)
         r_part = group.filter(pc.equal(side, 1)).select(right_names)
@@ -113,10 +113,11 @@ def bucketed_join(
             r_part, keys=[on], right_keys=[right_on], join_type=join_type
         )
 
-    return (
-        lt.union(rt)
-        .groupby(_BUCKET)
-        .map_groups(merge, batch_format="pyarrow")
+    out_schema = pa.schema(
+        list(left_schema) + [f for f in right_schema if f.name != right_on]
+    )
+    return bucket_exchange(
+        lt.union(rt), merge, key=_BUCKET, schema=expected, out_schema=out_schema
     )
 
 
@@ -329,9 +330,6 @@ def coordinated_sample_join(sf_dir: str, *, n_buckets: int | None = None):
         )
 
     def join_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return _CSJ_PART_SCHEMA.empty_table()
-        group = group.select(_CSJ_UNION_SCHEMA.names).cast(_CSJ_UNION_SCHEMA)
         role = group["role"].to_numpy()
         okey = group["okey"].to_numpy()
         o_sel = role == 0
@@ -371,8 +369,9 @@ def coordinated_sample_join(sf_dir: str, *, n_buckets: int | None = None):
         order_partial, batch_format="pyarrow", zero_copy_batch=True
     ).union(li.map_batches(item_partial, batch_format="pyarrow", zero_copy_batch=True))
     return (
-        tagged.groupby("bucket")
-        .map_groups(join_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            tagged, join_bucket, schema=_CSJ_UNION_SCHEMA, out_schema=_CSJ_PART_SCHEMA
+        )
         .groupby("o_orderpriority")
         .aggregate(
             Sum(on="n_orders", alias_name="n_orders"),

@@ -22,6 +22,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from ..exchange import bucket_exchange
 from ..sources.pages import read_table
 
 
@@ -110,6 +111,77 @@ def _user_bucket_adder(n_buckets: int):
         )
 
     return fn
+
+
+# event columns as read from events.parquet (``props`` never crosses an
+# exchange), plus ``ts_us``: ``ts`` as exact int64 microseconds, which no
+# pandas ns round trip or shuffle unit degradation can touch
+_EVENTS_SCHEMA = pa.schema(
+    [
+        ("event_id", pa.int64()),
+        ("ts", pa.timestamp("us")),
+        ("user_id", pa.int64()),
+        ("event_type", pa.string()),
+        ("value", pa.float64()),
+        ("ts_us", pa.int64()),
+    ]
+)
+
+
+def _per_user_exchange(
+    sf_dir: str,
+    n_buckets: int | None,
+    columns: list[str],
+    fold,
+    out_schema: pa.Schema,
+    batch_format: str = "pandas",
+) -> ray.data.Dataset:
+    """Read ``columns`` of events (``_EVENTS_SCHEMA``), tag each row with
+    its user bucket (``_user_buckets``) and run ``fold`` once per bucket: a
+    user lives in exactly one bucket, so every per-user statistic is
+    bucket-local."""
+    schema = pa.schema(
+        [_EVENTS_SCHEMA.field(c) for c in columns] + [("bucket", pa.int64())]
+    )
+    add_bucket = _user_bucket_adder(_user_buckets(sf_dir, n_buckets))
+
+    def column(batch: pa.Table, c: str):
+        if c == "ts_us":
+            return pc.cast(pc.cast(batch["ts"], pa.timestamp("us")), pa.int64())
+        return batch[c]
+
+    def emit(batch: pa.Table) -> pa.Table:
+        return add_bucket(pa.table({c: column(batch, c) for c in columns}))
+
+    read = list(dict.fromkeys("ts" if c == "ts_us" else c for c in columns))
+    return bucket_exchange(
+        read_table(sf_dir, "events", columns=read),
+        fold,
+        schema=schema,
+        out_schema=out_schema,
+        emit=emit,
+        batch_format=batch_format,
+    )
+
+
+def _widen(
+    cols: dict, superset: pa.Schema, side: int, key: str, mask: pa.Scalar
+) -> pa.Table:
+    """One side of a tagged-union exchange: this side's ``cols`` in
+    ``superset`` order, typed nulls for the other side's columns, the int8
+    ``side`` tag and ``bucket = cols[key] & mask``."""
+    n = len(cols[key])
+    cols = {
+        **cols,
+        "side": pa.array([side] * n, pa.int8()),
+        "bucket": pc.bit_wise_and(cols[key], mask),
+    }
+    return pa.table(
+        {
+            f.name: cols[f.name] if f.name in cols else pa.nulls(n, f.type)
+            for f in superset
+        }
+    )
 
 
 def _lookup(keys: pa.ChunkedArray | pa.Array, values: pa.ChunkedArray | pa.Array):
@@ -595,38 +667,21 @@ def q3_shipping_priority(sf_dir: str) -> ray.data.Dataset:
         ]
     )
 
+    mask = pa.scalar(n_buckets - 1, pa.int64())
+
     def _widen_left(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table(
-            {
-                "key": batch["l_orderkey"],
-                "revenue_c4": batch["revenue"],
-                "o_orderdate": pa.nulls(n, pa.timestamp("us")),
-                "side": pa.array([0] * n, pa.int8()),
-                "bucket": pc.bit_wise_and(batch["l_orderkey"], pa.scalar(n_buckets - 1, pa.int64())),
-            }
-        )
+        cols = {"key": batch["l_orderkey"], "revenue_c4": batch["revenue"]}
+        return _widen(cols, superset, 0, "key", mask)
 
     def _widen_right(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table(
-            {
-                "key": batch["o_orderkey"],
-                "revenue_c4": pa.nulls(n, pa.int64()),
-                "o_orderdate": batch["o_orderdate"],
-                "side": pa.array([1] * n, pa.int8()),
-                "bucket": pc.bit_wise_and(batch["o_orderkey"], pa.scalar(n_buckets - 1, pa.int64())),
-            }
-        )
+        cols = {"key": batch["o_orderkey"], "o_orderdate": batch["o_orderdate"]}
+        return _widen(cols, superset, 1, "key", mask)
 
     partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
     lt = partials.map_batches(_widen_left, batch_format="pyarrow", zero_copy_batch=True)
     rt = orders_f.map_batches(_widen_right, batch_format="pyarrow", zero_copy_batch=True)
 
     def agg_join_bucket(group: pa.Table) -> pa.Table:
-        # shuffle may round-trip through pandas, degrading all-null typed
-        # columns to Arrow null — re-cast to the declared schema first
-        group = group.select(superset.names).cast(superset)
         side = group["side"]
         li = (
             group.filter(pc.equal(side, 0))
@@ -644,10 +699,17 @@ def q3_shipping_priority(sf_dir: str) -> ray.data.Dataset:
             pc.divide(pc.cast(joined["revenue_c4"], pa.float64()), pa.scalar(10000.0)),
         ).select(["l_orderkey", "revenue", "o_orderdate"])
 
+    out_schema = pa.schema(
+        [
+            ("l_orderkey", pa.int64()),
+            ("revenue", pa.float64()),
+            ("o_orderdate", pa.timestamp("us")),
+        ]
+    )
     return (
-        lt.union(rt)
-        .groupby("bucket")
-        .map_groups(agg_join_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            lt.union(rt), agg_join_bucket, schema=superset, out_schema=out_schema
+        )
         .sort(["revenue", "l_orderkey"], descending=[True, False])
         .limit(10)
     )
@@ -685,8 +747,14 @@ def events_asof_login(sf_dir: str, *, n_buckets: int | None = None) -> ray.data.
     DuckDB oracle: correlated window max."""
     import pandas as pd
 
-    ds = read_table(sf_dir, "events", columns=["event_id", "user_id", "ts", "value"])
-    add_bucket = _user_bucket_adder(_user_buckets(sf_dir, n_buckets))
+    out_schema = pa.schema(
+        [
+            ("event_id", pa.int64()),
+            ("user_id", pa.int64()),
+            ("ts", pa.timestamp("us")),
+            ("last_big_ts", pa.timestamp("us")),
+        ]
+    )
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"]).reset_index(drop=True)
@@ -696,12 +764,10 @@ def events_asof_login(sf_dir: str, *, n_buckets: int | None = None) -> ray.data.
         g["last_big_ts"] = big_ts.groupby(g["user_id"]).ffill()
         return g[["event_id", "user_id", "ts", "last_big_ts"]]
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-        .sort("event_id")
-    )
+    columns = ["event_id", "user_id", "ts", "value"]
+    return _per_user_exchange(
+        sf_dir, n_buckets, columns, per_bucket, out_schema
+    ).sort("event_id")
 
 
 EVENTS_ASOF_SQL = """
@@ -756,9 +822,17 @@ def events_sessionize(
     """
     import pandas as pd
 
-    ds = read_table(sf_dir, "events", columns=["user_id", "ts", "value"])
     gap = pd.Timedelta(minutes=gap_minutes)
-    add_bucket = _user_bucket_adder(_user_buckets(sf_dir, n_buckets))
+    out_schema = pa.schema(
+        [
+            ("user_id", pa.int64()),
+            ("session_id", pa.int64()),
+            ("session_start", pa.timestamp("us")),
+            ("session_end", pa.timestamp("us")),
+            ("n_events", pa.int64()),
+            ("sum_value", pa.float64()),
+        ]
+    )
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts"]).reset_index(drop=True)
@@ -782,12 +856,9 @@ def events_sessionize(
             ["user_id", "session_id", "session_start", "session_end", "n_events", "sum_value"]
         ]
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-        .sort(["user_id", "session_id"])
-    )
+    return _per_user_exchange(
+        sf_dir, n_buckets, ["user_id", "ts", "value"], per_bucket, out_schema
+    ).sort(["user_id", "session_id"])
 
 
 EVENTS_SESSIONIZE_SQL = """
@@ -876,12 +947,18 @@ def top_orders_per_customer(
         )
         return t.append_column("rank", pa.array(rank + 1, pa.int64()))
 
-    partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    return (
-        partials.groupby("bucket")
-        .map_groups(final_bucket, batch_format="pyarrow")
-        .sort(["o_custkey", "rank"])
-    )
+    cols = [
+        ("o_custkey", pa.int64()),
+        ("o_orderkey", pa.int64()),
+        ("o_totalprice", pa.float64()),
+    ]
+    return bucket_exchange(
+        ds,
+        final_bucket,
+        schema=pa.schema(cols + [("bucket", pa.int64())]),
+        out_schema=pa.schema(cols + [("rank", pa.int64())]),
+        emit=partial,
+    ).sort(["o_custkey", "rank"])
 
 
 TOP_ORDERS_PER_CUSTOMER_SQL = """
@@ -1305,8 +1382,15 @@ def events_rolling_sum(
     engine-specific order), so values match the oracle bitwise."""
     import pandas as pd
 
-    ds = read_table(sf_dir, "events", columns=["event_id", "user_id", "ts", "value"])
-    add_bucket = _user_bucket_adder(_user_buckets(sf_dir, n_buckets))
+    out_schema = pa.schema(
+        [
+            ("event_id", pa.int64()),
+            ("user_id", pa.int64()),
+            ("ts", pa.timestamp("us")),
+            ("sum_window", pa.float64()),
+            ("n_window", pa.int64()),
+        ]
+    )
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"]).reset_index(drop=True)
@@ -1317,12 +1401,10 @@ def events_rolling_sum(
         g["n_window"] = roll.count().reset_index(level=0, drop=True).astype("int64")
         return g[["event_id", "user_id", "ts", "sum_window", "n_window"]]
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-        .sort("event_id")
-    )
+    columns = ["event_id", "user_id", "ts", "value"]
+    return _per_user_exchange(
+        sf_dir, n_buckets, columns, per_bucket, out_schema
+    ).sort("event_id")
 
 
 EVENTS_ROLLING_SUM_SQL = """
@@ -1379,47 +1461,44 @@ def events_orders_range_join(
     )
 
     def widen_events(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table(
+        return _widen(
             {
                 "key": batch["user_id"],
                 "event_id": batch["event_id"],
                 "ts": batch["ts"],
-                "o_orderdate": pa.nulls(n, pa.timestamp("us")),
-                "side": pa.array([0] * n, pa.int8()),
-                "bucket": pc.bit_wise_and(batch["user_id"], mask),
-            }
+            },
+            superset,
+            0,
+            "key",
+            mask,
         )
 
     def widen_orders(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table(
-            {
-                "key": batch["o_custkey"],
-                "event_id": pa.nulls(n, pa.int64()),
-                "ts": pa.nulls(n, pa.timestamp("us")),
-                "o_orderdate": batch["o_orderdate"],
-                "side": pa.array([1] * n, pa.int8()),
-                "bucket": pc.bit_wise_and(batch["o_custkey"], mask),
-            }
+        return _widen(
+            {"key": batch["o_custkey"], "o_orderdate": batch["o_orderdate"]},
+            superset,
+            1,
+            "key",
+            mask,
         )
 
     lt = events.map_batches(widen_events, batch_format="pyarrow", zero_copy_batch=True)
     rt = orders.map_batches(widen_orders, batch_format="pyarrow", zero_copy_batch=True)
 
+    out_schema = pa.schema(
+        [
+            ("event_id", pa.int64()),
+            ("user_id", pa.int64()),
+            ("ts", pa.timestamp("us")),
+            ("n_recent_orders", pa.int64()),
+        ]
+    )
+
     def band_join_bucket(group: pa.Table) -> pa.Table:
-        group = group.select(superset.names).cast(superset)
         ev = group.filter(pc.equal(group["side"], 0)).select(["key", "event_id", "ts"]).to_pandas()
         od = group.filter(pc.equal(group["side"], 1)).select(["key", "o_orderdate"]).to_pandas()
         if ev.empty:
-            return pa.table(
-                {
-                    "event_id": pa.array([], pa.int64()),
-                    "user_id": pa.array([], pa.int64()),
-                    "ts": pa.array([], pa.timestamp("us")),
-                    "n_recent_orders": pa.array([], pa.int64()),
-                }
-            )
+            return out_schema.empty_table()
         m = ev.merge(od, on="key", how="inner")
         in_band = m[
             (m["o_orderdate"] >= m["ts"] - lo_delta) & (m["o_orderdate"] <= m["ts"])
@@ -1434,23 +1513,11 @@ def events_orders_range_join(
                 "n_recent_orders": n.to_numpy(),
             }
         )
-        return pa.Table.from_pandas(out, preserve_index=False).cast(
-            pa.schema(
-                [
-                    ("event_id", pa.int64()),
-                    ("user_id", pa.int64()),
-                    ("ts", pa.timestamp("us")),
-                    ("n_recent_orders", pa.int64()),
-                ]
-            )
-        )
+        return pa.Table.from_pandas(out, preserve_index=False).cast(out_schema)
 
-    return (
-        lt.union(rt)
-        .groupby("bucket")
-        .map_groups(band_join_bucket, batch_format="pyarrow")
-        .sort("event_id")
-    )
+    return bucket_exchange(
+        lt.union(rt), band_join_bucket, schema=superset, out_schema=out_schema
+    ).sort("event_id")
 
 
 EVENTS_ORDERS_RANGE_JOIN_SQL = """
@@ -1513,15 +1580,12 @@ def q5_local_supplier_revenue(sf_dir: str) -> ray.data.Dataset:
         cn = cust_nation_of(f["o_custkey"])
         f = f.append_column("cust_nation", pc.cast(cn, pa.int64()))
         f = f.filter(pc.is_valid(f["cust_nation"]))  # non-ASIA customers drop
-        n = f.num_rows
-        return pa.table(
-            {
-                "key": f["o_orderkey"],
-                "nationkey": f["cust_nation"],
-                "rev_c4": pa.nulls(n, pa.int64()),
-                "side": pa.array([1] * n, pa.int8()),
-                "bucket": pc.bit_wise_and(f["o_orderkey"], mask),
-            }
+        return _widen(
+            {"key": f["o_orderkey"], "nationkey": f["cust_nation"]},
+            superset,
+            1,
+            "key",
+            mask,
         )
 
     def lineitem_side(batch: pa.Table) -> pa.Table:
@@ -1540,14 +1604,12 @@ def q5_local_supplier_revenue(sf_dir: str) -> ray.data.Dataset:
             .aggregate([("rev_c4", "sum")])
             .rename_columns(["key", "nationkey", "rev_c4"])
         )
-        return pa.table(
-            {
-                "key": t["key"],
-                "nationkey": t["nationkey"],
-                "rev_c4": t["rev_c4"],
-                "side": pa.array([0] * t.num_rows, pa.int8()),
-                "bucket": pc.bit_wise_and(t["key"], mask),
-            }
+        return _widen(
+            {"key": t["key"], "nationkey": t["nationkey"], "rev_c4": t["rev_c4"]},
+            superset,
+            0,
+            "key",
+            mask,
         )
 
     superset = pa.schema(
@@ -1568,7 +1630,6 @@ def q5_local_supplier_revenue(sf_dir: str) -> ray.data.Dataset:
     ).map_batches(lineitem_side, batch_format="pyarrow", zero_copy_batch=True)
 
     def join_bucket(group: pa.Table) -> pa.Table:
-        group = group.select(superset.names).cast(superset)
         li_part = (
             group.filter(pc.equal(group["side"], 0))
             .select(["key", "nationkey", "rev_c4"])
@@ -1606,10 +1667,11 @@ def q5_local_supplier_revenue(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
+    out_schema = pa.schema([("nationkey", pa.int64()), ("rev_c4", pa.int64())])
     return (
-        li.union(orders)
-        .groupby("bucket")
-        .map_groups(join_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            li.union(orders), join_bucket, schema=superset, out_schema=out_schema
+        )
         .groupby("nationkey")
         .aggregate(Sum("rev_c4", alias_name="rev_c4"))
         .map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
@@ -1665,29 +1727,19 @@ def q18_large_volume_orders(sf_dir: str, *, min_qty: float = 250.0) -> ray.data.
             .aggregate([("qty_c", "sum")])
             .rename_columns(["key", "qty_c"])
         )
-        n = t.num_rows
-        return pa.table(
-            {
-                "key": t["key"],
-                "qty_c": t["qty_c"],
-                "o_custkey": pa.nulls(n, pa.int64()),
-                "o_totalprice": pa.nulls(n, pa.float64()),
-                "side": pa.array([0] * n, pa.int8()),
-                "bucket": pc.bit_wise_and(t["key"], mask),
-            }
-        )
+        return _widen({"key": t["key"], "qty_c": t["qty_c"]}, superset, 0, "key", mask)
 
     def orders_side(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table(
+        return _widen(
             {
                 "key": batch["o_orderkey"],
-                "qty_c": pa.nulls(n, pa.int64()),
                 "o_custkey": batch["o_custkey"],
                 "o_totalprice": batch["o_totalprice"],
-                "side": pa.array([1] * n, pa.int8()),
-                "bucket": pc.bit_wise_and(batch["o_orderkey"], mask),
-            }
+            },
+            superset,
+            1,
+            "key",
+            mask,
         )
 
     superset = pa.schema(
@@ -1709,7 +1761,6 @@ def q18_large_volume_orders(sf_dir: str, *, min_qty: float = 250.0) -> ray.data.
     ).map_batches(orders_side, batch_format="pyarrow", zero_copy_batch=True)
 
     def having_join_bucket(group: pa.Table) -> pa.Table:
-        group = group.select(superset.names).cast(superset)
         sums = (
             group.filter(pc.equal(group["side"], 0))
             .select(["key", "qty_c"])
@@ -1744,10 +1795,18 @@ def q18_large_volume_orders(sf_dir: str, *, min_qty: float = 250.0) -> ray.data.
             }
         )
 
+    out_schema = pa.schema(
+        [
+            ("o_orderkey", pa.int64()),
+            ("o_custkey", pa.int64()),
+            ("o_totalprice", pa.float64()),
+            ("sum_qty", pa.float64()),
+        ]
+    )
     return (
-        li.union(orders)
-        .groupby("bucket")
-        .map_groups(having_join_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            li.union(orders), having_join_bucket, schema=superset, out_schema=out_schema
+        )
         .sort(["o_totalprice", "o_orderkey"], descending=[True, False])
         .limit(20)
         .map_batches(attach_name, batch_format="pyarrow", zero_copy_batch=True)
@@ -1834,7 +1893,6 @@ def q13_customer_distribution(sf_dir: str, *, n_buckets: int | None = None) -> r
     )
 
     def outer_hist_bucket(group: pa.Table) -> pa.Table:
-        group = group.select(superset.names).cast(superset)
         parts = (
             group.filter(pc.equal(group["side"], 0))
             .select(["key", "cnt"])
@@ -1861,10 +1919,14 @@ def q13_customer_distribution(sf_dir: str, *, n_buckets: int | None = None) -> r
 
     from ray.data.aggregate import Sum
 
+    out_schema = pa.schema([("c_count", pa.int64()), ("custdist", pa.int64())])
     return (
-        orders.union(cust)
-        .groupby("bucket")
-        .map_groups(outer_hist_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            orders.union(cust),
+            outer_hist_bucket,
+            schema=superset,
+            out_schema=out_schema,
+        )
         .groupby("c_count")
         .aggregate(Sum("custdist", alias_name="custdist"))
         .sort(["custdist", "c_count"], descending=[True, True])
@@ -1918,10 +1980,10 @@ def suppliers_per_part(sf_dir: str, *, n_buckets: int | None = None) -> ray.data
         partial, batch_format="pyarrow", zero_copy_batch=True
     )
 
+    pair_schema = pa.schema([("l_partkey", pa.int64()), ("l_suppkey", pa.int64())])
+    out_schema = pa.schema([("l_partkey", pa.int64()), ("n_suppliers", pa.int64())])
+
     def count_bucket(group: pa.Table) -> pa.Table:
-        group = group.select(["l_partkey", "l_suppkey"]).cast(
-            pa.schema([("l_partkey", pa.int64()), ("l_suppkey", pa.int64())])
-        )
         distinct = group.group_by(["l_partkey", "l_suppkey"]).aggregate([])
         counts = (
             distinct.group_by("l_partkey")
@@ -1935,11 +1997,9 @@ def suppliers_per_part(sf_dir: str, *, n_buckets: int | None = None) -> ray.data
             }
         )
 
-    return (
-        ds.groupby("bucket")
-        .map_groups(count_bucket, batch_format="pyarrow")
-        .sort("l_partkey")
-    )
+    return bucket_exchange(
+        ds, count_bucket, schema=pair_schema, out_schema=out_schema
+    ).sort("l_partkey")
 
 
 SUPPLIERS_PER_PART_SQL = """
@@ -1968,7 +2028,7 @@ def top_event_type_per_hour(sf_dir: str) -> ray.data.Dataset:
     broken by smallest type — the per-window mode/argmax shape.
 
     Per-batch partial counts fold per (hour, type); one small groupby
-    finishes the counts; the argmax runs in a per-hour map_groups whose
+    finishes the counts; the argmax runs in a per-hour exchange fold whose
     input is one row per (hour, type) — bounded by the type cardinality,
     never the event volume."""
     ds = read_table(sf_dir, "events", columns=["ts", "event_type"])
@@ -2008,9 +2068,25 @@ def top_event_type_per_hour(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
+    count_schema = pa.schema(
+        [("hour", pa.timestamp("us")), ("event_type", pa.string()), ("n", pa.int64())]
+    )
+    out_schema = pa.schema(
+        [
+            ("hour", pa.timestamp("us")),
+            ("top_event_type", pa.string()),
+            ("n_events", pa.int64()),
+        ]
+    )
     return (
-        counts.groupby("hour")
-        .map_groups(argmax_hour, batch_format="pandas")
+        bucket_exchange(
+            counts,
+            argmax_hour,
+            key="hour",
+            schema=count_schema,
+            out_schema=out_schema,
+            batch_format="pandas",
+        )
         .map_batches(recast, batch_format="pyarrow", zero_copy_batch=True)
         .sort("hour")
     )
@@ -2528,11 +2604,29 @@ def event_type_share_hourly(sf_dir: str) -> ray.data.Dataset:
         )
         return out
 
-    return (
-        agg.groupby("hour")
-        .map_groups(share_group, batch_format="pandas")
-        .sort(["hour", "event_type"])
+    agg_schema = pa.schema(
+        [
+            ("hour", pa.timestamp("us")),
+            ("event_type", pa.string()),
+            ("value_c", pa.int64()),
+        ]
     )
+    out_schema = pa.schema(
+        [
+            ("hour", pa.timestamp("us")),
+            ("event_type", pa.string()),
+            ("sum_value", pa.float64()),
+            ("share", pa.float64()),
+        ]
+    )
+    return bucket_exchange(
+        agg,
+        share_group,
+        key="hour",
+        schema=agg_schema,
+        out_schema=out_schema,
+        batch_format="pandas",
+    ).sort(["hour", "event_type"])
 
 
 EVENT_TYPE_SHARE_HOURLY_SQL = """
@@ -2674,15 +2768,7 @@ def q4_priority_with_returns(sf_dir: str) -> ray.data.Dataset:
     def li_keys(batch: pa.Table) -> pa.Table:
         f = batch.filter(pc.equal(batch["l_returnflag"], "R"))
         t = pa.table({"key": f["l_orderkey"]}).group_by("key").aggregate([])
-        n = t.num_rows
-        return pa.table(
-            {
-                "key": t["key"],
-                "o_orderpriority": pa.nulls(n, pa.string()),
-                "side": pa.array([0] * n, pa.int8()),
-                "bucket": pc.bit_wise_and(t["key"], mask),
-            }
-        )
+        return _widen({"key": t["key"]}, superset, 0, "key", mask)
 
     def orders_side(batch: pa.Table) -> pa.Table:
         f = batch.filter(
@@ -2691,14 +2777,12 @@ def q4_priority_with_returns(sf_dir: str) -> ray.data.Dataset:
                 pc.less(batch["o_orderdate"], hi),
             )
         )
-        n = f.num_rows
-        return pa.table(
-            {
-                "key": f["o_orderkey"],
-                "o_orderpriority": f["o_orderpriority"],
-                "side": pa.array([1] * n, pa.int8()),
-                "bucket": pc.bit_wise_and(f["o_orderkey"], mask),
-            }
+        return _widen(
+            {"key": f["o_orderkey"], "o_orderpriority": f["o_orderpriority"]},
+            superset,
+            1,
+            "key",
+            mask,
         )
 
     superset = pa.schema(
@@ -2717,7 +2801,6 @@ def q4_priority_with_returns(sf_dir: str) -> ray.data.Dataset:
     ).map_batches(orders_side, batch_format="pyarrow", zero_copy_batch=True)
 
     def semi_count_bucket(group: pa.Table) -> pa.Table:
-        group = group.select(superset.names).cast(superset)
         have = pc.unique(group.filter(pc.equal(group["side"], 0))["key"].combine_chunks())
         od = group.filter(pc.equal(group["side"], 1))
         hit = od.filter(pc.is_in(od["key"], value_set=have))
@@ -2730,10 +2813,13 @@ def q4_priority_with_returns(sf_dir: str) -> ray.data.Dataset:
 
     from ray.data.aggregate import Sum
 
+    out_schema = pa.schema(
+        [("o_orderpriority", pa.string()), ("order_count", pa.int64())]
+    )
     return (
-        li.union(orders)
-        .groupby("bucket")
-        .map_groups(semi_count_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            li.union(orders), semi_count_bucket, schema=superset, out_schema=out_schema
+        )
         .groupby("o_orderpriority")
         .aggregate(Sum("order_count", alias_name="order_count"))
         .sort("o_orderpriority")
@@ -2777,15 +2863,8 @@ def q10_returned_revenue(sf_dir: str) -> ray.data.Dataset:
             .aggregate([("rev_c4", "sum")])
             .rename_columns(["key", "rev_c4"])
         )
-        n = t.num_rows
-        return pa.table(
-            {
-                "key": t["key"],
-                "rev_c4": t["rev_c4"],
-                "o_custkey": pa.nulls(n, pa.int64()),
-                "side": pa.array([0] * n, pa.int8()),
-                "bucket": pc.bit_wise_and(t["key"], mask),
-            }
+        return _widen(
+            {"key": t["key"], "rev_c4": t["rev_c4"]}, superset, 0, "key", mask
         )
 
     def orders_side(batch: pa.Table) -> pa.Table:
@@ -2795,15 +2874,12 @@ def q10_returned_revenue(sf_dir: str) -> ray.data.Dataset:
                 pc.less(batch["o_orderdate"], hi),
             )
         )
-        n = f.num_rows
-        return pa.table(
-            {
-                "key": f["o_orderkey"],
-                "rev_c4": pa.nulls(n, pa.int64()),
-                "o_custkey": f["o_custkey"],
-                "side": pa.array([1] * n, pa.int8()),
-                "bucket": pc.bit_wise_and(f["o_orderkey"], mask),
-            }
+        return _widen(
+            {"key": f["o_orderkey"], "o_custkey": f["o_custkey"]},
+            superset,
+            1,
+            "key",
+            mask,
         )
 
     superset = pa.schema(
@@ -2824,7 +2900,6 @@ def q10_returned_revenue(sf_dir: str) -> ray.data.Dataset:
     ).map_batches(orders_side, batch_format="pyarrow", zero_copy_batch=True)
 
     def join_bucket(group: pa.Table) -> pa.Table:
-        group = group.select(superset.names).cast(superset)
         li_rows = (
             group.filter(pc.equal(group["side"], 0))
             .select(["key", "rev_c4"])
@@ -2858,10 +2933,11 @@ def q10_returned_revenue(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
+    out_schema = pa.schema([("c_custkey", pa.int64()), ("rev_c4", pa.int64())])
     return (
-        li.union(orders)
-        .groupby("bucket")
-        .map_groups(join_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            li.union(orders), join_bucket, schema=superset, out_schema=out_schema
+        )
         .groupby("c_custkey")
         .aggregate(Sum("rev_c4", alias_name="rev_c4"))
         .map_batches(
@@ -2921,29 +2997,24 @@ def q12_priority_linestatus(sf_dir: str) -> ray.data.Dataset:
             .aggregate([([], "count_all")])
             .rename_columns(["key", "l_linestatus", "n"])
         )
-        m = t.num_rows
-        return pa.table(
-            {
-                "key": t["key"],
-                "l_linestatus": t["l_linestatus"],
-                "n": t["n"],
-                "is_high": pa.nulls(m, pa.bool_()),
-                "side": pa.array([0] * m, pa.int8()),
-                "bucket": pc.bit_wise_and(t["key"], mask),
-            }
+        return _widen(
+            {"key": t["key"], "l_linestatus": t["l_linestatus"], "n": t["n"]},
+            superset,
+            0,
+            "key",
+            mask,
         )
 
     def orders_side(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table(
+        return _widen(
             {
                 "key": batch["o_orderkey"],
-                "l_linestatus": pa.nulls(n, pa.string()),
-                "n": pa.nulls(n, pa.int64()),
                 "is_high": pc.is_in(batch["o_orderpriority"], value_set=high),
-                "side": pa.array([1] * n, pa.int8()),
-                "bucket": pc.bit_wise_and(batch["o_orderkey"], mask),
-            }
+            },
+            superset,
+            1,
+            "key",
+            mask,
         )
 
     superset = pa.schema(
@@ -2964,7 +3035,6 @@ def q12_priority_linestatus(sf_dir: str) -> ray.data.Dataset:
     ).map_batches(orders_side, batch_format="pyarrow", zero_copy_batch=True)
 
     def fold_bucket(group: pa.Table) -> pa.Table:
-        group = group.select(superset.names).cast(superset)
         li_rows = group.filter(pc.equal(group["side"], 0)).select(
             ["key", "l_linestatus", "n"]
         )
@@ -2987,10 +3057,17 @@ def q12_priority_linestatus(sf_dir: str) -> ray.data.Dataset:
 
     from ray.data.aggregate import Sum
 
+    out_schema = pa.schema(
+        [
+            ("l_linestatus", pa.string()),
+            ("high_line_count", pa.int64()),
+            ("low_line_count", pa.int64()),
+        ]
+    )
     return (
-        li.union(orders)
-        .groupby("bucket")
-        .map_groups(fold_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            li.union(orders), fold_bucket, schema=superset, out_schema=out_schema
+        )
         .groupby("l_linestatus")
         .aggregate(
             Sum("high_line_count", alias_name="high_line_count"),
@@ -3117,29 +3194,17 @@ def q22_idle_customers(sf_dir: str) -> ray.data.Dataset:
     def order_keys(batch: pa.Table) -> pa.Table:
         f = batch.filter(pc.greater_equal(batch["o_orderdate"], recent))
         t = pa.table({"key": f["o_custkey"]}).group_by("key").aggregate([])
-        n = t.num_rows
-        return pa.table(
-            {
-                "key": t["key"],
-                "c_mktsegment": pa.nulls(n, pa.string()),
-                "bal_c": pa.nulls(n, pa.int64()),
-                "side": pa.array([0] * n, pa.int8()),
-                "bucket": pc.bit_wise_and(t["key"], mask),
-            }
-        )
+        return _widen({"key": t["key"]}, superset, 0, "key", mask)
 
     def cust_side(batch: pa.Table) -> pa.Table:
         f = batch.filter(pc.greater(batch["c_acctbal"], pa.scalar(threshold)))
         bal_c = pc.cast(pc.round(pc.multiply(f["c_acctbal"], pa.scalar(100.0))), pa.int64())
-        n = f.num_rows
-        return pa.table(
-            {
-                "key": f["c_custkey"],
-                "c_mktsegment": f["c_mktsegment"],
-                "bal_c": bal_c,
-                "side": pa.array([1] * n, pa.int8()),
-                "bucket": pc.bit_wise_and(f["c_custkey"], mask),
-            }
+        return _widen(
+            {"key": f["c_custkey"], "c_mktsegment": f["c_mktsegment"], "bal_c": bal_c},
+            superset,
+            1,
+            "key",
+            mask,
         )
 
     superset = pa.schema(
@@ -3159,7 +3224,6 @@ def q22_idle_customers(sf_dir: str) -> ray.data.Dataset:
     )
 
     def anti_bucket(group: pa.Table) -> pa.Table:
-        group = group.select(superset.names).cast(superset)
         have = pc.unique(group.filter(pc.equal(group["side"], 0))["key"].combine_chunks())
         cu = group.filter(pc.equal(group["side"], 1))
         idle = cu.filter(pc.invert(pc.is_in(cu["key"], value_set=have)))
@@ -3176,10 +3240,13 @@ def q22_idle_customers(sf_dir: str) -> ray.data.Dataset:
             .rename_columns(["c_mktsegment", "numcust", "bal_c"])
         )
 
+    out_schema = pa.schema(
+        [("c_mktsegment", pa.string()), ("numcust", pa.int64()), ("bal_c", pa.int64())]
+    )
     return (
-        orders.union(cust)
-        .groupby("bucket")
-        .map_groups(anti_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            orders.union(cust), anti_bucket, schema=superset, out_schema=out_schema
+        )
         .groupby("c_mktsegment")
         .aggregate(Sum("numcust", alias_name="numcust"), Sum("bal_c", alias_name="bal_c"))
         .map_batches(
@@ -3240,15 +3307,15 @@ def events_funnel(
     def pre(batch: pa.Table) -> pa.Table:
         return add_bucket(batch.filter(pc.is_in(batch["event_type"], value_set=wanted)))
 
-    _EMPTY = {
-        "step": pd.Series([], dtype="int64"),
-        "event_type": pd.Series([], dtype="object"),
-        "n_users": pd.Series([], dtype="int64"),
-    }
+    schema = pa.schema(
+        [_EVENTS_SCHEMA.field(c) for c in ("user_id", "ts", "event_type")]
+        + [("bucket", pa.int64())]
+    )
+    out_schema = pa.schema(
+        [("step", pa.int64()), ("event_type", pa.string()), ("n_users", pa.int64())]
+    )
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0 or "user_id" not in g.columns:
-            return pd.DataFrame(_EMPTY)
         cur = None  # per-user earliest completion ts of the previous step
         out_rows = []
         for i, st in enumerate(steps, 1):
@@ -3269,9 +3336,14 @@ def events_funnel(
     from ray.data.aggregate import Sum
 
     return (
-        ds.map_batches(pre, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pandas")
+        bucket_exchange(
+            ds,
+            per_bucket,
+            schema=schema,
+            out_schema=out_schema,
+            emit=pre,
+            batch_format="pandas",
+        )
         .groupby(["step", "event_type"])
         .aggregate(Sum("n_users", alias_name="n_users"))
         .sort("step")
@@ -3475,8 +3547,6 @@ def orders_merge_upsert(sf_dir: str) -> ray.data.Dataset:
     )
 
     def emit(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return union_schema.empty_table()
         keys = pc.cast(batch["o_orderkey"], pa.int64())
         cents = pc.cast(
             pc.round(pc.multiply(batch["o_totalprice"], pa.scalar(100.0))), pa.int64()
@@ -3510,9 +3580,6 @@ def orders_merge_upsert(sf_dir: str) -> ray.data.Dataset:
         return pa.concat_tables([base, delta])
 
     def fold(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
-        group = group.cast(union_schema)
         keys = group["o_orderkey"].to_numpy()
         src = group["src"].to_numpy()
         # last-writer-wins: sort by (key, src) and keep each key's LAST row
@@ -3531,9 +3598,7 @@ def orders_merge_upsert(sf_dir: str) -> ray.data.Dataset:
         )
 
     return (
-        ds.map_batches(emit, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(fold, batch_format="pyarrow")
+        bucket_exchange(ds, fold, schema=union_schema, out_schema=out_schema, emit=emit)
         .sort("o_orderkey")
     )
 
@@ -3612,8 +3677,6 @@ def orders_pareto_frontier(sf_dir: str) -> ray.data.Dataset | pa.Table:
     )
 
     def local_frontier(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return cand_schema.empty_table()
         date_us = pc.cast(batch["o_orderdate"], pa.int64()).to_numpy()
         price = pc.cast(
             pc.round(pc.multiply(batch["o_totalprice"], pa.scalar(100.0))), pa.int64()
@@ -3630,18 +3693,20 @@ def orders_pareto_frontier(sf_dir: str) -> ray.data.Dataset | pa.Table:
         )
 
     def fold(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return cand_schema.empty_table()
-        group = group.cast(cand_schema)
         keep = _pareto_sweep(
             group["date_us"].to_numpy(), group["price_cents"].to_numpy()
         )
         return group.take(pa.array(np.sort(keep)))
 
     cands = (
-        ds.map_batches(local_frontier, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("fk")
-        .map_groups(fold, batch_format="pyarrow")
+        bucket_exchange(
+            ds,
+            fold,
+            key="fk",
+            schema=cand_schema,
+            out_schema=cand_schema,
+            emit=local_frontier,
+        )
         .to_pandas()  # bounded: <=64 folded local frontiers of a skyline
     )
     if cands.empty:
@@ -4158,8 +4223,6 @@ def orders_cdc_diff(sf_dir: str, *, n_buckets: int | None = None) -> ray.data.Da
     )
 
     def emit(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return union_schema.empty_table()
         k = pc.cast(batch["o_orderkey"], pa.int64()).to_numpy(zero_copy_only=False)
         cents = pc.cast(
             pc.round(pc.multiply(batch["o_totalprice"], pa.scalar(100.0))),
@@ -4189,9 +4252,6 @@ def orders_cdc_diff(sf_dir: str, *, n_buckets: int | None = None) -> ray.data.Da
         )
 
     def diff_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
-        group = group.select(union_schema.names).cast(union_schema)
         k = group["k"].to_numpy(zero_copy_only=False)
         c = group["cents"].to_numpy(zero_copy_only=False)
         src = group["src"].to_numpy(zero_copy_only=False)
@@ -4236,9 +4296,9 @@ def orders_cdc_diff(sf_dir: str, *, n_buckets: int | None = None) -> ray.data.Da
         )
 
     return (
-        ds.map_batches(emit, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(diff_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            ds, diff_bucket, schema=union_schema, out_schema=out_schema, emit=emit
+        )
         .sort("o_orderkey")
     )
 
@@ -4312,8 +4372,6 @@ def customer_reorder_intervals(
     )
 
     def emit(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return union_schema.empty_table()
         cust = pc.cast(batch["o_custkey"], pa.int64())
         t = pa.table(
             {
@@ -4328,9 +4386,6 @@ def customer_reorder_intervals(
     day_us = 86_400_000_000
 
     def median_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
-        group = group.select(union_schema.names).cast(union_schema)
         cust = group["cust"].to_numpy(zero_copy_only=False)
         date = group["date_us"].to_numpy(zero_copy_only=False)
         order = np.lexsort((date, cust))
@@ -4358,9 +4413,9 @@ def customer_reorder_intervals(
         )
 
     return (
-        ds.map_batches(emit, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(median_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            ds, median_bucket, schema=union_schema, out_schema=out_schema, emit=emit
+        )
         .sort("o_custkey")
     )
 
@@ -4450,11 +4505,9 @@ def revenue_gini_by_nation(sf_dir: str) -> ray.data.Dataset:
         .aggregate(Sum("cents", alias_name="cents"))
     )
 
+    nation_schema = pa.schema([("nation", pa.string()), ("cents", pa.int64())])
+
     def add_nation(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return pa.schema(
-                [("nation", pa.string()), ("cents", pa.int64())]
-            ).empty_table()
         return pa.table({"nation": nation_of(batch["custkey"]), "cents": batch["cents"]})
 
     _GINI_SCHEMA = pa.schema(
@@ -4470,11 +4523,6 @@ def revenue_gini_by_nation(sf_dir: str) -> ray.data.Dataset:
     def per_nation(group: pa.Table) -> pa.Table:
         import numpy as np
 
-        if group.num_rows == 0 or group.num_columns == 0:
-            return _GINI_SCHEMA.empty_table()
-        group = group.select(["nation", "cents"]).cast(
-            pa.schema([("nation", pa.string()), ("cents", pa.int64())])
-        )
         x = np.sort(group["cents"].to_numpy(zero_copy_only=False))
         n = int(len(x))
         s = int(x.sum(dtype=np.int64) if n < 1 << 20 else sum(map(int, x)))
@@ -4493,12 +4541,14 @@ def revenue_gini_by_nation(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return (
-        per_cust.map_batches(add_nation, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("nation")
-        .map_groups(per_nation, batch_format="pyarrow")
-        .sort("nation")
-    )
+    return bucket_exchange(
+        per_cust,
+        per_nation,
+        key="nation",
+        schema=nation_schema,
+        out_schema=_GINI_SCHEMA,
+        emit=add_nation,
+    ).sort("nation")
 
 
 REVENUE_GINI_SQL = """
@@ -4578,6 +4628,19 @@ def record_orders(sf_dir: str, *, n_buckets: int | None = None) -> ray.data.Data
             }
         )
 
+    schema = pa.schema(
+        [
+            ("o_custkey", pa.int64()),
+            ("o_orderkey", pa.int64()),
+            ("o_orderdate", pa.timestamp("us")),
+            ("cents", pa.int64()),
+            ("bucket", pa.int64()),
+        ]
+    )
+    out_schema = pa.schema(
+        [(c, pa.int64()) for c in ("o_custkey", "n_orders", "n_records")]
+    )
+
     def per_bucket(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values(["o_custkey", "o_orderdate", "o_orderkey"]).reset_index(
             drop=True
@@ -4600,12 +4663,14 @@ def record_orders(sf_dir: str, *, n_buckets: int | None = None) -> ray.data.Data
             }
         )
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-        .sort("o_custkey")
-    )
+    return bucket_exchange(
+        ds,
+        per_bucket,
+        schema=schema,
+        out_schema=out_schema,
+        emit=add_bucket,
+        batch_format="pandas",
+    ).sort("o_custkey")
 
 
 RECORD_ORDERS_SQL = """

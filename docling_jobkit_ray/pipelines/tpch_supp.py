@@ -39,8 +39,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from ..exchange import bucket_exchange
 from ..sources.pages import read_table
-from .relational import _broadcast_table, _lookup, _pin_timestamp_us, _ts
+from .relational import _broadcast_table, _lookup, _pin_timestamp_us, _ts, _widen
 
 
 def _cents(col) -> pa.ChunkedArray:
@@ -161,17 +162,17 @@ def q7_volume_shipping(sf_dir: str) -> ray.data.Dataset:
             .aggregate([("rev_c4", "sum")])
             .rename_columns(["key", "supp_code", "l_year", "rev_c4"])
         )
-        n = g.num_rows
-        return pa.table(
+        return _widen(
             {
                 "key": g["key"],
                 "supp_code": g["supp_code"],
                 "l_year": g["l_year"],
                 "rev_c4": g["rev_c4"],
-                "cust_code": pa.nulls(n, pa.int64()),
-                "side": pa.array([0] * n, pa.int8()),
-                "bucket": pc.bit_wise_and(g["key"], mask),
-            }
+            },
+            superset,
+            0,
+            "key",
+            mask,
         )
 
     def ord_side(batch: pa.Table) -> pa.Table:
@@ -183,17 +184,8 @@ def q7_volume_shipping(sf_dir: str) -> ray.data.Dataset:
             pa.scalar(1, pa.int64()),
             pa.scalar(0, pa.int64()),
         )
-        n = f.num_rows
-        return pa.table(
-            {
-                "key": f["o_orderkey"],
-                "supp_code": pa.nulls(n, pa.int64()),
-                "l_year": pa.nulls(n, pa.int64()),
-                "rev_c4": pa.nulls(n, pa.int64()),
-                "cust_code": code,
-                "side": pa.array([1] * n, pa.int8()),
-                "bucket": pc.bit_wise_and(f["o_orderkey"], mask),
-            }
+        return _widen(
+            {"key": f["o_orderkey"], "cust_code": code}, superset, 1, "key", mask
         )
 
     superset = pa.schema(
@@ -217,24 +209,22 @@ def q7_volume_shipping(sf_dir: str) -> ray.data.Dataset:
         ord_side, batch_format="pyarrow", zero_copy_batch=True
     )
 
+    out_schema = pa.schema(
+        [
+            ("supp_code", pa.int64()),
+            ("cust_code", pa.int64()),
+            ("l_year", pa.int64()),
+            ("rev_c4", pa.int64()),
+        ]
+    )
+
     def join_bucket(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "supp_code": pa.array([], pa.int64()),
-                "cust_code": pa.array([], pa.int64()),
-                "l_year": pa.array([], pa.int64()),
-                "rev_c4": pa.array([], pa.int64()),
-            }
-        )
-        if group.num_rows == 0:
-            return empty
-        group = group.select(superset.names).cast(superset)
         li_part = group.filter(pc.equal(group["side"], 0)).select(
             ["key", "supp_code", "l_year", "rev_c4"]
         )
         ord_part = group.filter(pc.equal(group["side"], 1)).select(["key", "cust_code"])
         if li_part.num_rows == 0 or ord_part.num_rows == 0:
-            return empty
+            return out_schema.empty_table()
         j = li_part.join(ord_part, keys=["key"], join_type="inner")
         j = j.filter(pc.not_equal(j["supp_code"], j["cust_code"]))
         return (
@@ -260,9 +250,9 @@ def q7_volume_shipping(sf_dir: str) -> ray.data.Dataset:
         )
 
     return (
-        li.union(orders)
-        .groupby("bucket")
-        .map_groups(join_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            li.union(orders), join_bucket, schema=superset, out_schema=out_schema
+        )
         .groupby(["supp_code", "cust_code", "l_year"])
         .aggregate(Sum("rev_c4", alias_name="rev_c4"))
         .map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
@@ -328,16 +318,12 @@ def q8_market_share(sf_dir: str) -> ray.data.Dataset:
             .aggregate([("nat_c4", "sum"), ("tot_c4", "sum")])
             .rename_columns(["key", "nat_c4", "tot_c4"])
         )
-        n = g.num_rows
-        return pa.table(
-            {
-                "key": g["key"],
-                "nat_c4": g["nat_c4"],
-                "tot_c4": g["tot_c4"],
-                "o_year": pa.nulls(n, pa.int64()),
-                "side": pa.array([0] * n, pa.int8()),
-                "bucket": pc.bit_wise_and(g["key"], mask),
-            }
+        return _widen(
+            {"key": g["key"], "nat_c4": g["nat_c4"], "tot_c4": g["tot_c4"]},
+            superset,
+            0,
+            "key",
+            mask,
         )
 
     def ord_side(batch: pa.Table) -> pa.Table:
@@ -350,16 +336,12 @@ def q8_market_share(sf_dir: str) -> ray.data.Dataset:
                 pc.is_in(batch["o_custkey"], value_set=eu_cust),
             )
         )
-        n = f.num_rows
-        return pa.table(
-            {
-                "key": f["o_orderkey"],
-                "nat_c4": pa.nulls(n, pa.int64()),
-                "tot_c4": pa.nulls(n, pa.int64()),
-                "o_year": pc.year(f["o_orderdate"]),
-                "side": pa.array([1] * n, pa.int8()),
-                "bucket": pc.bit_wise_and(f["o_orderkey"], mask),
-            }
+        return _widen(
+            {"key": f["o_orderkey"], "o_year": pc.year(f["o_orderdate"])},
+            superset,
+            1,
+            "key",
+            mask,
         )
 
     superset = pa.schema(
@@ -382,23 +364,17 @@ def q8_market_share(sf_dir: str) -> ray.data.Dataset:
         sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_orderdate"]
     ).map_batches(ord_side, batch_format="pyarrow", zero_copy_batch=True)
 
+    out_schema = pa.schema(
+        [("o_year", pa.int64()), ("nat_c4", pa.int64()), ("tot_c4", pa.int64())]
+    )
+
     def join_bucket(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "o_year": pa.array([], pa.int64()),
-                "nat_c4": pa.array([], pa.int64()),
-                "tot_c4": pa.array([], pa.int64()),
-            }
-        )
-        if group.num_rows == 0:
-            return empty
-        group = group.select(superset.names).cast(superset)
         li_part = group.filter(pc.equal(group["side"], 0)).select(
             ["key", "nat_c4", "tot_c4"]
         )
         ord_part = group.filter(pc.equal(group["side"], 1)).select(["key", "o_year"])
         if li_part.num_rows == 0 or ord_part.num_rows == 0:
-            return empty
+            return out_schema.empty_table()
         j = li_part.join(ord_part, keys=["key"], join_type="inner")
         return (
             j.group_by("o_year")
@@ -420,9 +396,9 @@ def q8_market_share(sf_dir: str) -> ray.data.Dataset:
         )
 
     return (
-        li.union(orders)
-        .groupby("bucket")
-        .map_groups(join_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            li.union(orders), join_bucket, schema=superset, out_schema=out_schema
+        )
         .groupby("o_year")
         .aggregate(Sum("nat_c4", alias_name="nat_c4"), Sum("tot_c4", alias_name="tot_c4"))
         .map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
@@ -731,17 +707,16 @@ def q16_supplier_part_counts(sf_dir: str, *, n_buckets: int | None = None) -> ra
         ]
     )
 
+    out_schema = pa.schema(
+        [
+            ("p_brand", pa.string()),
+            ("p_type", pa.string()),
+            ("p_size", pa.int64()),
+            ("supplier_cnt", pa.int64()),
+        ]
+    )
+
     def count_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table(
-                {
-                    "p_brand": pa.array([], pa.string()),
-                    "p_type": pa.array([], pa.string()),
-                    "p_size": pa.array([], pa.int64()),
-                    "supplier_cnt": pa.array([], pa.int64()),
-                }
-            )
-        group = group.select(schema.names).cast(schema)
         pairs = (
             group.select(["l_partkey", "l_suppkey"])
             .group_by(["l_partkey", "l_suppkey"])
@@ -768,10 +743,13 @@ def q16_supplier_part_counts(sf_dir: str, *, n_buckets: int | None = None) -> ra
     from ray.data.aggregate import Sum
 
     return (
-        read_table(sf_dir, "lineitem", columns=["l_partkey", "l_suppkey"])
-        .map_batches(pair_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(count_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            read_table(sf_dir, "lineitem", columns=["l_partkey", "l_suppkey"]),
+            count_bucket,
+            schema=schema,
+            out_schema=out_schema,
+            emit=pair_partial,
+        )
         .groupby(["p_brand", "p_type", "p_size"])
         .aggregate(Sum("supplier_cnt", alias_name="supplier_cnt"))
         .sort(
@@ -991,17 +969,15 @@ def q2_min_balance_supplier(sf_dir: str, *, n_buckets: int | None = None) -> ray
         ]
     )
 
+    out_schema = pa.schema(
+        [
+            ("p_partkey", pa.int64()),
+            ("s_suppkey", pa.int64()),
+            ("s_acctbal", pa.float64()),
+        ]
+    )
+
     def argmin_bucket(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "p_partkey": pa.array([], pa.int64()),
-                "s_suppkey": pa.array([], pa.int64()),
-                "s_acctbal": pa.array([], pa.float64()),
-            }
-        )
-        if group.num_rows == 0:
-            return empty
-        group = group.select(schema.names).cast(schema)
         pairs = (
             group.select(["l_partkey", "l_suppkey"])
             .group_by(["l_partkey", "l_suppkey"])
@@ -1037,10 +1013,13 @@ def q2_min_balance_supplier(sf_dir: str, *, n_buckets: int | None = None) -> ray
         )
 
     return (
-        read_table(sf_dir, "lineitem", columns=["l_partkey", "l_suppkey"])
-        .map_batches(pair_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(argmin_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            read_table(sf_dir, "lineitem", columns=["l_partkey", "l_suppkey"]),
+            argmin_bucket,
+            schema=schema,
+            out_schema=out_schema,
+            emit=pair_partial,
+        )
         .map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
         .sort(["s_acctbal", "p_partkey"], descending=[True, False])
     )
@@ -1122,11 +1101,9 @@ def q20_excess_suppliers(sf_dir: str, *, n_buckets: int | None = None) -> ray.da
         ]
     )
 
+    out_schema = pa.schema([("s_suppkey", pa.int64())])
+
     def excess_bucket(group: pa.Table) -> pa.Table:
-        empty = pa.table({"s_suppkey": pa.array([], pa.int64())})
-        if group.num_rows == 0 or group.num_columns == 0:
-            return empty
-        group = group.select(schema.names).cast(schema)
         ps = (
             group.select(["l_partkey", "l_suppkey", "qty_c"])
             .group_by(["l_partkey", "l_suppkey"])
@@ -1164,10 +1141,17 @@ def q20_excess_suppliers(sf_dir: str, *, n_buckets: int | None = None) -> ray.da
     from ray.data.aggregate import Count
 
     return (
-        read_table(sf_dir, "lineitem", columns=["l_partkey", "l_suppkey", "l_quantity", "l_shipdate"])
-        .map_batches(qty_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(excess_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            read_table(
+                sf_dir,
+                "lineitem",
+                columns=["l_partkey", "l_suppkey", "l_quantity", "l_shipdate"],
+            ),
+            excess_bucket,
+            schema=schema,
+            out_schema=out_schema,
+            emit=qty_partial,
+        )
         .groupby("s_suppkey")
         .aggregate(Count(alias_name="_n"))
         .drop_columns(["_n"])
@@ -1228,29 +1212,17 @@ def q21_waiting_suppliers(sf_dir: str) -> ray.data.Dataset:
             .aggregate([("ret", "max")])
             .rename_columns(["key", "s_suppkey", "ret"])
         )
-        n = g.num_rows
-        return pa.table(
-            {
-                "key": g["key"],
-                "s_suppkey": g["s_suppkey"],
-                "ret": g["ret"],
-                "side": pa.array([0] * n, pa.int8()),
-                "bucket": pc.bit_wise_and(g["key"], mask),
-            }
+        return _widen(
+            {"key": g["key"], "s_suppkey": g["s_suppkey"], "ret": g["ret"]},
+            superset,
+            0,
+            "key",
+            mask,
         )
 
     def ord_side(batch: pa.Table) -> pa.Table:
         f = batch.filter(pc.equal(batch["o_orderstatus"], "F"))
-        n = f.num_rows
-        return pa.table(
-            {
-                "key": f["o_orderkey"],
-                "s_suppkey": pa.nulls(n, pa.int64()),
-                "ret": pa.nulls(n, pa.int64()),
-                "side": pa.array([1] * n, pa.int8()),
-                "bucket": pc.bit_wise_and(f["o_orderkey"], mask),
-            }
-        )
+        return _widen({"key": f["o_orderkey"]}, superset, 1, "key", mask)
 
     superset = pa.schema(
         [
@@ -1262,20 +1234,13 @@ def q21_waiting_suppliers(sf_dir: str) -> ray.data.Dataset:
         ]
     )
 
+    out_schema = pa.schema([("s_suppkey", pa.int64()), ("numwait", pa.int64())])
+
     def wait_bucket(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "s_suppkey": pa.array([], pa.int64()),
-                "numwait": pa.array([], pa.int64()),
-            }
-        )
-        if group.num_rows == 0 or group.num_columns == 0:
-            return empty
-        group = group.select(superset.names).cast(superset)
         f_keys = group.filter(pc.equal(group["side"], 1))["key"].combine_chunks()
         li = group.filter(pc.equal(group["side"], 0))
         if li.num_rows == 0 or len(f_keys) == 0:
-            return empty
+            return out_schema.empty_table()
         li = li.filter(pc.is_in(li["key"], value_set=f_keys))
         osl = (
             li.select(["key", "s_suppkey", "ret"])
@@ -1326,9 +1291,9 @@ def q21_waiting_suppliers(sf_dir: str) -> ray.data.Dataset:
     )
 
     return (
-        li.union(orders)
-        .groupby("bucket")
-        .map_groups(wait_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            li.union(orders), wait_bucket, schema=superset, out_schema=out_schema
+        )
         .groupby("s_suppkey")
         .aggregate(Sum("numwait", alias_name="numwait"))
         .map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
@@ -1395,12 +1360,11 @@ def scd2_customer_status(sf_dir: str) -> ray.data.Dataset:
             ("date_us", pa.int64()),
             ("o_orderstatus", pa.string()),
             ("o_orderkey", pa.int64()),
+            ("bucket", pa.int64()),
         ]
     )
 
     def emit(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return union_schema.insert(4, pa.field("bucket", pa.int64())).empty_table()
         t = pa.table(
             {
                 "o_custkey": pc.cast(batch["o_custkey"], pa.int64()),
@@ -1428,12 +1392,8 @@ def scd2_customer_status(sf_dir: str) -> ray.data.Dataset:
     )
 
     def runs_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
         df = (
-            group.select(union_schema.names)
-            .cast(union_schema)
-            .to_pandas()
+            group.to_pandas()
             .sort_values(["o_custkey", "date_us", "o_orderkey"], kind="stable")
             .reset_index(drop=True)
         )
@@ -1475,9 +1435,9 @@ def scd2_customer_status(sf_dir: str) -> ray.data.Dataset:
         )
 
     return (
-        ds.map_batches(emit, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(runs_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            ds, runs_bucket, schema=union_schema, out_schema=out_schema, emit=emit
+        )
         .map_batches(
             _pin_timestamp_us(["valid_from", "valid_to"]),
             batch_format="pyarrow",
@@ -1542,15 +1502,6 @@ def top_orders_diversified(
     )
 
     def emit(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return pa.schema(
-                [
-                    ("o_orderkey", pa.int64()),
-                    ("o_custkey", pa.int64()),
-                    ("o_totalprice", pa.float64()),
-                    ("bucket", pa.int64()),
-                ]
-            ).empty_table()
         t = pa.table(
             {
                 "o_orderkey": pc.cast(batch["o_orderkey"], pa.int64()),
@@ -1569,12 +1520,8 @@ def top_orders_diversified(
     )
 
     def quota_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
         df = (
-            group.select(out_schema.names)
-            .cast(out_schema)
-            .to_pandas()
+            group.to_pandas()
             .sort_values(
                 ["o_custkey", "o_totalprice", "o_orderkey"],
                 ascending=[True, False, True],
@@ -1585,9 +1532,13 @@ def top_orders_diversified(
         return pa.Table.from_pandas(kept, schema=out_schema, preserve_index=False)
 
     return (
-        ds.map_batches(emit, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(quota_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            ds,
+            quota_bucket,
+            schema=out_schema.append(pa.field("bucket", pa.int64())),
+            out_schema=out_schema,
+            emit=emit,
+        )
         .sort(["o_totalprice", "o_orderkey"], descending=[True, False])
         .limit(k)
     )

@@ -15,7 +15,7 @@ Design points (the 100 TB argument):
   salt, not by re-shuffling bytes.  The full-period Lehmer multiplier
   keeps the map exact in int64 and free of the small-multiplier prefix
   bias (CLAUDE.md).
-* **Packing is shard-local** (one ``map_groups`` call per shard): bins
+* **Packing is shard-local** (one exchange fold call per shard): bins
   never span shards, so shards are independently readable training units
   and the stage is embarrassingly parallel.  ``n_shards`` derives from the
   input row estimate (``scale.bucket_count``) so one shard always fits a
@@ -39,6 +39,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from ..exchange import bucket_exchange
 from ..sources.pages import read_table
 from ..state.commit import read_marker, staged_dir
 from .ingest import _count_parquet_rows
@@ -133,9 +134,6 @@ def make_training_shards(
     )
 
     def pack_shard(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
-        group = group.select(in_schema.names).cast(in_schema)
         doc_ids = group["doc_id"].to_numpy(zero_copy_only=False)
         tokens = group["n_tokens"].to_numpy(zero_copy_only=False)
         bin_of, bin_tot = pack_batch(doc_ids, tokens, budget_tokens)
@@ -152,10 +150,13 @@ def make_training_shards(
             }
         )
 
-    packed = (
-        ds.map_batches(assign, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("shard")
-        .map_groups(pack_shard, batch_format="pyarrow")
+    packed = bucket_exchange(
+        ds,
+        pack_shard,
+        key="shard",
+        schema=in_schema,
+        out_schema=out_schema,
+        emit=assign,
     )
 
     with staged_dir(out_dir, marker="_SUCCESS", replace=True) as st:

@@ -38,9 +38,16 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from ..exchange import bucket_exchange
 from ..functions.stats_tests import _trunc_div
 from ..sources.pages import read_table
-from .relational import _CDC_INSERT_OFF, _pin_timestamp_us, _user_bucket_adder, _user_buckets
+from .relational import (
+    _CDC_INSERT_OFF,
+    _pin_timestamp_us,
+    _user_bucket_adder,
+    _user_buckets,
+    _widen,
+)
 from .tpch_supp import _cents
 
 _P = 2_147_483_647  # 2^31 - 1 (Mersenne prime): the mod-p checksum domain
@@ -118,35 +125,29 @@ def lineitem_status_pit(sf_dir: str) -> ray.data.Dataset:
             .aggregate([("qty_c", "sum"), ("rev_c4", "sum"), ("key", "count")])
             .rename_columns(["key", "ship_us", "qty_c", "rev_c4", "n_items"])
         )
-        n = g.num_rows
-        return pa.table(
+        return _widen(
             {
                 "key": g["key"],
                 "ship_us": g["ship_us"],
                 "n_items": g["n_items"],
                 "qty_c": g["qty_c"],
                 "rev_c4": g["rev_c4"],
-                "o_custkey": pa.nulls(n, pa.int64()),
-                "side": pa.array([0] * n, pa.int8()),
-                "bucket": pc.bit_wise_and(g["key"], mask),
-            }
+            },
+            ex1,
+            0,
+            "key",
+            mask,
         )
 
     def ord_map(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0 or batch.num_columns == 0:
             return ex1.empty_table()
-        n = batch.num_rows
-        return pa.table(
-            {
-                "key": batch["o_orderkey"],
-                "ship_us": pa.nulls(n, pa.int64()),
-                "n_items": pa.nulls(n, pa.int64()),
-                "qty_c": pa.nulls(n, pa.int64()),
-                "rev_c4": pa.nulls(n, pa.int64()),
-                "o_custkey": batch["o_custkey"],
-                "side": pa.array([1] * n, pa.int8()),
-                "bucket": pc.bit_wise_and(batch["o_orderkey"], mask),
-            }
+        return _widen(
+            {"key": batch["o_orderkey"], "o_custkey": batch["o_custkey"]},
+            ex1,
+            1,
+            "key",
+            mask,
         )
 
     # exchange-2 tagged union: resolved facts (side=1) + raw dim rows (side=0)
@@ -166,9 +167,6 @@ def lineitem_status_pit(sf_dir: str) -> ray.data.Dataset:
     )
 
     def resolve_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return ex2.empty_table()
-        group = group.select(ex1.names).cast(ex1)
         facts = group.filter(pc.equal(group["side"], 0)).select(
             ["key", "ship_us", "n_items", "qty_c", "rev_c4"]
         )
@@ -176,41 +174,35 @@ def lineitem_status_pit(sf_dir: str) -> ray.data.Dataset:
         if facts.num_rows == 0 or omap.num_rows == 0:
             return ex2.empty_table()
         j = facts.join(omap, keys=["key"], join_type="inner")
-        n = j.num_rows
-        return pa.table(
+        return _widen(
             {
                 "cust": j["o_custkey"],
                 "ship_us": j["ship_us"],
                 "n_items": j["n_items"],
                 "qty_c": j["qty_c"],
                 "rev_c4": j["rev_c4"],
-                "date_us": pa.nulls(n, pa.int64()),
-                "status": pa.nulls(n, pa.string()),
-                "okey": pa.nulls(n, pa.int64()),
-                "side": pa.array([1] * n, pa.int8()),
-                "bucket": pc.bit_wise_and(j["o_custkey"], mask),
-            }
+            },
+            ex2,
+            1,
+            "cust",
+            mask,
         )
 
     def dim_side(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0 or batch.num_columns == 0:
             return ex2.empty_table()
-        n = batch.num_rows
-        return pa.table(
+        date = pc.cast(pc.cast(batch["o_orderdate"], pa.timestamp("us")), pa.int64())
+        return _widen(
             {
                 "cust": batch["o_custkey"],
-                "ship_us": pa.nulls(n, pa.int64()),
-                "n_items": pa.nulls(n, pa.int64()),
-                "qty_c": pa.nulls(n, pa.int64()),
-                "rev_c4": pa.nulls(n, pa.int64()),
-                "date_us": pc.cast(
-                    pc.cast(batch["o_orderdate"], pa.timestamp("us")), pa.int64()
-                ),
+                "date_us": date,
                 "status": batch["o_orderstatus"],
                 "okey": batch["o_orderkey"],
-                "side": pa.array([0] * n, pa.int8()),
-                "bucket": pc.bit_wise_and(batch["o_custkey"], mask),
-            }
+            },
+            ex2,
+            0,
+            "cust",
+            mask,
         )
 
     part_schema = pa.schema(
@@ -223,9 +215,6 @@ def lineitem_status_pit(sf_dir: str) -> ray.data.Dataset:
     )
 
     def pit_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return part_schema.empty_table()
-        group = group.select(ex2.names).cast(ex2)
         dim = group.filter(pc.equal(group["side"], 0))
         facts = group.filter(pc.equal(group["side"], 1))
         if dim.num_rows == 0 or facts.num_rows == 0:
@@ -295,18 +284,14 @@ def lineitem_status_pit(sf_dir: str) -> ray.data.Dataset:
     omap = read_table(sf_dir, "orders", columns=["o_orderkey", "o_custkey"]).map_batches(
         ord_map, batch_format="pyarrow", zero_copy_batch=True
     )
-    facts = (
-        li.union(omap)
-        .groupby("bucket")
-        .map_groups(resolve_bucket, batch_format="pyarrow")
-    )
+    facts = bucket_exchange(li.union(omap), resolve_bucket, schema=ex1, out_schema=ex2)
     dim = read_table(
         sf_dir, "orders", columns=["o_custkey", "o_orderdate", "o_orderstatus", "o_orderkey"]
     ).map_batches(dim_side, batch_format="pyarrow", zero_copy_batch=True)
     return (
-        facts.union(dim)
-        .groupby("bucket")
-        .map_groups(pit_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            facts.union(dim), pit_bucket, schema=ex2, out_schema=part_schema
+        )
         .groupby("status_at_ship")
         .aggregate(
             Sum("n_items", alias_name="n_items"),
@@ -487,17 +472,11 @@ def events_time_weighted_value(
         ]
     )
 
+    wire_schema = pa.schema(
+        [(c, pa.int64()) for c in ("user_id", "ts_us", "event_id", "cents", "bucket")]
+    )
+
     def emit(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return pa.schema(
-                [
-                    ("user_id", pa.int64()),
-                    ("ts_us", pa.int64()),
-                    ("event_id", pa.int64()),
-                    ("cents", pa.int64()),
-                    ("bucket", pa.int64()),
-                ]
-            ).empty_table()
         t = pa.table(
             {
                 "user_id": batch["user_id"],
@@ -544,9 +523,14 @@ def events_time_weighted_value(
         )
 
     return (
-        ds.map_batches(emit, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pandas")
+        bucket_exchange(
+            ds,
+            per_bucket,
+            schema=wire_schema,
+            out_schema=out_schema,
+            emit=emit,
+            batch_format="pandas",
+        )
         .map_batches(
             lambda b: b.select(out_schema.names).cast(out_schema)
             if b.num_rows
@@ -972,8 +956,6 @@ def events_ohlc_daily(sf_dir: str) -> ray.data.Dataset:
     )
 
     def partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return part_schema.empty_table()
         ts = pc.cast(pc.cast(batch["ts"], pa.timestamp("us")), pa.int64()).to_numpy()
         eid = batch["event_id"].to_numpy().astype(np.int64)
         cents = _cents(batch["value"]).to_numpy().astype(np.int64)
@@ -1005,9 +987,6 @@ def events_ohlc_daily(sf_dir: str) -> ray.data.Dataset:
     )
 
     def fold(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
-        group = group.select(part_schema.names).cast(part_schema)
         g = group.to_pandas()
         g = g.sort_values(["first_ts", "first_eid"], kind="stable")
         day = int(g["day_us"].iloc[0])
@@ -1026,10 +1005,14 @@ def events_ohlc_daily(sf_dir: str) -> ray.data.Dataset:
         )
 
     return (
-        read_table(sf_dir, "events", columns=["ts", "event_id", "value"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("day_us")
-        .map_groups(fold, batch_format="pyarrow")
+        bucket_exchange(
+            read_table(sf_dir, "events", columns=["ts", "event_id", "value"]),
+            fold,
+            key="day_us",
+            schema=part_schema,
+            out_schema=out_schema,
+            emit=partial,
+        )
         .map_batches(_pin_timestamp_us(["day"]), batch_format="pyarrow")
         .sort("day")
     )
@@ -1316,9 +1299,6 @@ def join_cardinality_estimate(sf_dir: str) -> ray.data.Dataset:
     )
 
     def fold(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
-        group = group.select(part_schema.names).cast(part_schema)
         df = (
             group.to_pandas()
             .groupby("key", as_index=False)
@@ -1344,9 +1324,9 @@ def join_cardinality_estimate(sf_dir: str) -> ray.data.Dataset:
         ord_partial, batch_format="pyarrow", zero_copy_batch=True
     )
     return (
-        ev.union(orders)
-        .groupby("bucket")
-        .map_groups(fold, batch_format="pyarrow")
+        bucket_exchange(
+            ev.union(orders), fold, schema=part_schema, out_schema=out_schema
+        )
         .sort("bucket")
     )
 
@@ -1412,35 +1392,25 @@ def order_ship_latency_quantiles(sf_dir: str) -> pa.Table:
     def li_side(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0 or batch.num_columns == 0:
             return union_schema.empty_table()
-        n = batch.num_rows
-        return pa.table(
-            {
-                "key": batch["l_orderkey"],
-                "ship_us": pc.cast(
-                    pc.cast(batch["l_shipdate"], pa.timestamp("us")), pa.int64()
-                ),
-                "date_us": pa.nulls(n, pa.int64()),
-                "grp": pa.nulls(n, pa.string()),
-                "side": pa.array([0] * n, pa.int8()),
-                "bucket": pc.bit_wise_and(batch["l_orderkey"], mask),
-            }
+        ship = pc.cast(pc.cast(batch["l_shipdate"], pa.timestamp("us")), pa.int64())
+        return _widen(
+            {"key": batch["l_orderkey"], "ship_us": ship}, union_schema, 0, "key", mask
         )
 
     def ord_side(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0 or batch.num_columns == 0:
             return union_schema.empty_table()
-        n = batch.num_rows
-        return pa.table(
+        date = pc.cast(pc.cast(batch["o_orderdate"], pa.timestamp("us")), pa.int64())
+        return _widen(
             {
                 "key": batch["o_orderkey"],
-                "ship_us": pa.nulls(n, pa.int64()),
-                "date_us": pc.cast(
-                    pc.cast(batch["o_orderdate"], pa.timestamp("us")), pa.int64()
-                ),
+                "date_us": date,
                 "grp": batch["o_orderpriority"],
-                "side": pa.array([1] * n, pa.int8()),
-                "bucket": pc.bit_wise_and(batch["o_orderkey"], mask),
-            }
+            },
+            union_schema,
+            1,
+            "key",
+            mask,
         )
 
     hist_schema = pa.schema(
@@ -1448,9 +1418,6 @@ def order_ship_latency_quantiles(sf_dir: str) -> pa.Table:
     )
 
     def join_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return hist_schema.empty_table()
-        group = group.select(union_schema.names).cast(union_schema)
         li = group.filter(pc.equal(group["side"], 0)).select(["key", "ship_us"])
         orders = group.filter(pc.equal(group["side"], 1)).select(
             ["key", "date_us", "grp"]
@@ -1478,9 +1445,9 @@ def order_ship_latency_quantiles(sf_dir: str) -> pa.Table:
         sf_dir, "orders", columns=["o_orderkey", "o_orderdate", "o_orderpriority"]
     ).map_batches(ord_side, batch_format="pyarrow", zero_copy_batch=True)
     hist = (
-        li.union(orders)
-        .groupby("bucket")
-        .map_groups(join_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            li.union(orders), join_bucket, schema=union_schema, out_schema=hist_schema
+        )
         .groupby(["grp", "lat_days"])
         .aggregate(Sum("n", alias_name="n"))
         .sort(["grp", "lat_days"])
@@ -2215,7 +2182,7 @@ def customer_ltv_triangle(sf_dir: str, *, n_buckets: int | None = None) -> ray.d
     orders; the in-bucket kernel computes first-month per customer with a
     vectorized sort + segment-min and pre-folds (cohort, age) partials on
     a combined int64 key (cohort*2^20 + age — the ONE-key rule for
-    map_groups outputs feeding Ray aggregates); the global fold is
+    exchange outputs feeding Ray aggregates); the global fold is
     bounded by the calendar grid (months x ages), never the order count.
     """
     from ray.data.aggregate import Sum
@@ -2247,8 +2214,6 @@ def customer_ltv_triangle(sf_dir: str, *, n_buckets: int | None = None) -> ray.d
     )
 
     def rows_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return row_schema.empty_table()
         ts = pc.cast(batch["o_orderdate"], pa.timestamp("us"))
         m = pc.add(
             pc.multiply(pc.cast(pc.year(ts), pa.int64()), pa.scalar(12, pa.int64())),
@@ -2265,9 +2230,6 @@ def customer_ltv_triangle(sf_dir: str, *, n_buckets: int | None = None) -> ray.d
         )
 
     def fold_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return pair_schema.empty_table()
-        group = group.select(row_schema.names).cast(row_schema)
         ck = np.asarray(group["custkey"], np.int64)
         m = np.asarray(group["m"], np.int64)
         cents = np.asarray(group["cents"], np.int64)
@@ -2304,9 +2266,13 @@ def customer_ltv_triangle(sf_dir: str, *, n_buckets: int | None = None) -> ray.d
         )
 
     return (
-        orders.map_batches(rows_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(fold_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            orders,
+            fold_bucket,
+            schema=row_schema,
+            out_schema=pair_schema,
+            emit=rows_partial,
+        )
         .groupby("key")
         .aggregate(Sum(on="cents", alias_name="cents"), Sum(on="n", alias_name="n"))
         .map_batches(decode, batch_format="pyarrow")
@@ -2479,8 +2445,6 @@ def customer_order_regularity(
     )
 
     def rows_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return row_schema.empty_table()
         date_us = pc.cast(pc.cast(batch["o_orderdate"], pa.timestamp("us")), pa.int64())
         ck = pc.cast(batch["o_custkey"], pa.int64())
         return pa.table(
@@ -2492,9 +2456,6 @@ def customer_order_regularity(
         )
 
     def fold_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
-        group = group.select(row_schema.names).cast(row_schema)
         ck = np.asarray(group["custkey"], np.int64)
         day = np.asarray(group["day"], np.int64)
         order = np.lexsort((day, ck))
@@ -2534,9 +2495,13 @@ def customer_order_regularity(
         )
 
     return (
-        orders.map_batches(rows_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(fold_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            orders,
+            fold_bucket,
+            schema=row_schema,
+            out_schema=out_schema,
+            emit=rows_partial,
+        )
         .sort("custkey")
     )
 
@@ -2678,36 +2643,19 @@ def customers_with_all_brands(
         hit = bit >= 0
         ok = pc.cast(batch["l_orderkey"], pa.int64()).to_numpy(zero_copy_only=False)
         keys, masks = _or_by_key(ok[hit], np.int64(1) << bit[hit])
-        key = pa.array(keys, pa.int64())
-        return pa.table(
-            {
-                "key": key,
-                "bits": pa.array(masks, pa.int64()),
-                "custkey": pa.nulls(len(key), pa.int64()),
-                "side": pa.array(np.zeros(len(key), np.int8), pa.int8()),
-                "bucket": pc.bit_wise_and(key, omask),
-            }
-        )
+        cols = {"key": pa.array(keys, pa.int64()), "bits": pa.array(masks, pa.int64())}
+        return _widen(cols, ex1, 0, "key", omask)
 
     def ord_map(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0 or batch.num_columns == 0:
             return ex1.empty_table()
-        n = batch.num_rows
-        key = pc.cast(batch["o_orderkey"], pa.int64())
-        return pa.table(
-            {
-                "key": key,
-                "bits": pa.nulls(n, pa.int64()),
-                "custkey": pc.cast(batch["o_custkey"], pa.int64()),
-                "side": pa.array(np.ones(n, np.int8), pa.int8()),
-                "bucket": pc.bit_wise_and(key, omask),
-            }
-        )
+        cols = {
+            "key": pc.cast(batch["o_orderkey"], pa.int64()),
+            "custkey": pc.cast(batch["o_custkey"], pa.int64()),
+        }
+        return _widen(cols, ex1, 1, "key", omask)
 
     def resolve_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return bit_schema.empty_table()
-        group = group.select(ex1.names).cast(ex1)
         facts = group.filter(pc.equal(group["side"], 0)).select(["key", "bits"])
         omap = group.filter(pc.equal(group["side"], 1)).select(["key", "custkey"])
         if facts.num_rows == 0 or omap.num_rows == 0:
@@ -2726,17 +2674,11 @@ def customers_with_all_brands(
     bmask = pa.scalar(n_b - 1, pa.int64())
 
     def add_bucket(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return pa.schema(
-                [("custkey", pa.int64()), ("bits", pa.int64()), ("bucket", pa.int64())]
-            ).empty_table()
         return batch.append_column(
             "bucket", pc.bit_wise_and(batch["custkey"], bmask)
         )
 
     def or_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
         keys, masks = _or_by_key(
             np.asarray(group["custkey"], np.int64), np.asarray(group["bits"], np.int64)
         )
@@ -2758,14 +2700,22 @@ def customers_with_all_brands(
         return batch.select(out_schema.names).cast(out_schema)
 
     orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
+    per_cust = bucket_exchange(
+        li.map_batches(li_bits, batch_format="pyarrow", zero_copy_batch=True).union(
+            orders.map_batches(ord_map, batch_format="pyarrow", zero_copy_batch=True)
+        ),
+        resolve_bucket,
+        schema=ex1,
+        out_schema=bit_schema,
+    )
     return (
-        li.map_batches(li_bits, batch_format="pyarrow", zero_copy_batch=True)
-        .union(orders.map_batches(ord_map, batch_format="pyarrow", zero_copy_batch=True))
-        .groupby("bucket")
-        .map_groups(resolve_bucket, batch_format="pyarrow")
-        .map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(or_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            per_cust,
+            or_bucket,
+            schema=bit_schema.append(pa.field("bucket", pa.int64())),
+            out_schema=out_schema,
+            emit=add_bucket,
+        )
         .sort("custkey")
         .map_batches(pin_schema, batch_format="pyarrow")
     )
@@ -2962,8 +2912,6 @@ def order_band_transitions(
     )
 
     def rows_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return row_schema.empty_table()
         ck = pc.cast(batch["o_custkey"], pa.int64())
         date_us = pc.cast(pc.cast(batch["o_orderdate"], pa.timestamp("us")), pa.int64())
         cents = _cents(batch["o_totalprice"]).to_numpy(zero_copy_only=False)
@@ -2979,9 +2927,6 @@ def order_band_transitions(
         )
 
     def fold_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return pair_schema.empty_table()
-        group = group.select(row_schema.names).cast(row_schema)
         ck = np.asarray(group["custkey"], np.int64)
         ok = np.asarray(group["okey"], np.int64)
         day = np.asarray(group["day"], np.int64)
@@ -3008,9 +2953,13 @@ def order_band_transitions(
         )
 
     return (
-        orders.map_batches(rows_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(fold_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            orders,
+            fold_bucket,
+            schema=row_schema,
+            out_schema=pair_schema,
+            emit=rows_partial,
+        )
         .groupby("key")
         .aggregate(Sum(on="n", alias_name="n"))
         .map_batches(decode, batch_format="pyarrow")
@@ -3123,8 +3072,6 @@ def pps_sample_orders(
     )
 
     def rows_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return row_schema.empty_table()
         ok = pc.cast(batch["o_orderkey"], pa.int64())
         return pa.table(
             {
@@ -3135,9 +3082,6 @@ def pps_sample_orders(
         )
 
     def select_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
-        group = group.select(row_schema.names).cast(row_schema)
         ok = np.asarray(group["okey"], np.int64)
         cents = np.asarray(group["cents"], np.int64)
         order = np.argsort(ok, kind="stable")
@@ -3156,9 +3100,13 @@ def pps_sample_orders(
         )
 
     return (
-        orders.map_batches(rows_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(select_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            orders,
+            select_bucket,
+            schema=row_schema,
+            out_schema=out_schema,
+            emit=rows_partial,
+        )
         .sort("orderkey")
     )
 
@@ -3330,16 +3278,12 @@ def orderkey_gap_audit(sf_dir: str, *, n_buckets: int = 64) -> pa.Table:
     )
 
     def rows_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return part_schema.empty_table()
         ok = pc.cast(batch["o_orderkey"], pa.int64())
         return pa.table(
             {"bucket": pc.divide(ok, pa.scalar(stride, pa.int64())), "okey": ok}
         )
 
     def fold_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return sum_schema.empty_table()
         ok = np.unique(np.asarray(group["okey"], np.int64))
         gaps = np.diff(ok) - 1
         return pa.table(
@@ -3354,9 +3298,13 @@ def orderkey_gap_audit(sf_dir: str, *, n_buckets: int = 64) -> pa.Table:
         )
 
     parts = (
-        orders.map_batches(rows_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(fold_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            orders,
+            fold_bucket,
+            schema=part_schema,
+            out_schema=sum_schema,
+            emit=rows_partial,
+        )
         .take_all()  # bounded: one summary row per range bucket
     )
     parts.sort(key=lambda r: int(r["bucket"]))
@@ -3686,8 +3634,6 @@ def customer_top2_share(sf_dir: str, *, n_buckets: int | None = None) -> ray.dat
     )
 
     def rows_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return row_schema.empty_table()
         ck = pc.cast(batch["o_custkey"], pa.int64())
         return pa.table(
             {
@@ -3698,9 +3644,6 @@ def customer_top2_share(sf_dir: str, *, n_buckets: int | None = None) -> ray.dat
         )
 
     def fold_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0 or group.num_columns == 0:
-            return out_schema.empty_table()
-        group = group.select(row_schema.names).cast(row_schema)
         ck = np.asarray(group["custkey"], np.int64)
         cents = np.asarray(group["cents"], np.int64)
         order = np.lexsort((-cents, ck))
@@ -3730,9 +3673,13 @@ def customer_top2_share(sf_dir: str, *, n_buckets: int | None = None) -> ray.dat
         )
 
     return (
-        orders.map_batches(rows_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .map_groups(fold_bucket, batch_format="pyarrow")
+        bucket_exchange(
+            orders,
+            fold_bucket,
+            schema=row_schema,
+            out_schema=out_schema,
+            emit=rows_partial,
+        )
         .sort("custkey")
     )
 
@@ -3785,8 +3732,6 @@ def inventory_balance_by_type(sf_dir: str) -> pa.Table:
     )
 
     def partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return part_schema.empty_table()
         ts_us = pc.cast(pc.cast(batch["ts"], pa.timestamp("us")), pa.int64())
         day = pc.divide(ts_us, pa.scalar(_US_PER_DAY, pa.int64()))
         cents = pc.cast(_cents(batch["value"]), pa.int64())
@@ -3805,9 +3750,6 @@ def inventory_balance_by_type(sf_dir: str) -> pa.Table:
     def day_fold(group: pa.Table) -> pa.Table:
         # partials for one day from many blocks: sum per type (strings are
         # group PAYLOAD here, never a Ray groupby key)
-        if group.num_rows == 0 or group.num_columns == 0:
-            return part_schema.empty_table()
-        group = group.select(part_schema.names).cast(part_schema)
         return (
             group.group_by(["day", "event_type"])
             .aggregate([("net", "sum")])
@@ -3815,9 +3757,14 @@ def inventory_balance_by_type(sf_dir: str) -> pa.Table:
         )
 
     rows = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("day")
-        .map_groups(day_fold, batch_format="pyarrow")
+        bucket_exchange(
+            ds,
+            day_fold,
+            key="day",
+            schema=part_schema,
+            out_schema=part_schema,
+            emit=partial,
+        )
         .take_all()  # bounded: <= n_event_types x n_calendar_days rows
     )
     rows.sort(key=lambda r: (r["event_type"], int(r["day"])))

@@ -12,8 +12,8 @@ low (too MANY buckets is as bad as too few: 4096 vs 256 doubled minhash wall
 time at 5k docs).
 
 This module only sizes the key space; the per-key fold itself is written
-with ``exchange.bucket_exchange`` (keyed emit, groupby, one fold call per
-key, declared schemas on both sides).
+with ``exchange.bucket_exchange``: ``exchange.py`` is the only module that
+calls ``map_groups``, and ``tests/test_exchange.py`` guards it.
 
 Replaces the reference's static worker/queue sizing knobs
 (``orchestrators/ray/config.py``) with data-derived partitioning.

@@ -10,8 +10,10 @@ slice plan, ``:510-549`` reassembly, ``:467-482`` timing merge):
   the container's page directory lets each slice row carry ONLY its own byte
   range — zero payload duplication through the shuffle.
 - extract: slices are just rows through the same actor-pool stage.
-- reassemble: ``groupby("url").map_groups`` with an in-group sort on
-  ``slice_index``; page numbering is absolute so concatenation needs no
+- reassemble: one ``exchange.bucket_exchange`` on a url-hash bucket
+  (``url_bucket_adder``; ``exchange.py`` is the only module that calls
+  ``map_groups``, tests/test_exchange.py guards it) with an in-group sort on
+  (url, ``slice_index``); page numbering is absolute so concatenation needs no
   renumbering.  Status merge: SUCCESS iff all slices SUCCESS, any failure
   degrades to PARTIAL_SUCCESS, all-failed -> FAILURE; errors concatenated —
   exactly the reference's merge semantics (``serve_deployment.py:510-549``).
@@ -363,7 +365,7 @@ def _merge_one(
 
 
 def reassemble_group(group: pd.DataFrame) -> pd.DataFrame:
-    """map_groups(key="url") UDF: merge ONE url's slices back into one
+    """Per-url fold: merge ONE url's slices back into one
     document row (kept as the single-url reference path; the pipeline uses
     the bucketized :func:`reassemble_bucket`)."""
     group = group.sort_values("slice_index")
@@ -410,7 +412,7 @@ add_url_bucket = url_bucket_adder()
 
 
 def reassemble_bucket(group: pd.DataFrame) -> pd.DataFrame:
-    """map_groups(key="bucket") UDF: merge EVERY url in the bucket in one
+    """Per-bucket fold (pandas): merge EVERY url in the bucket in one
     vectorized pass (sort by (url, slice_index), url segment boundaries via
     numpy, one ``_merge_one`` per document)."""
     g = group.sort_values(["url", "slice_index"], kind="mergesort").reset_index(drop=True)
