@@ -212,6 +212,19 @@ def test_guard_detects_map_groups():
     assert _map_groups_calls(src) == [(1, None), (6, "g")]
 
 
+MIGRATED = ("functions/dedup.py", "functions/webtext.py", "functions/textstats.py")
+
+
+@pytest.mark.parametrize("module", MIGRATED)
+def test_bucketed_modules_exchange_only_through_bucket_exchange(module):
+    source = (PKG / module).read_text()
+    assert _map_groups_calls(source) == [], (
+        f"{module}: raw map_groups; write the per-key fold with "
+        "exchange.bucket_exchange"
+    )
+    assert "bucket_exchange(" in source
+
+
 def test_only_exchange_calls_map_groups():
     modules = sorted(PKG.rglob("*.py"))
     assert len(modules) > 50
