@@ -6,7 +6,7 @@
  * `_build_blocks` (the tokenizer and the state machine), `classify_blocks`,
  * `assemble` and `ExtractedDoc.doc_json`.  This file reproduces their output
  * bytes; tests/test_native_kernel.py checks it differentially against them.
- * The tag table, the raw-text tag names, the block kinds, the unescape
+ * The tag table, the raw-text tag names, the span kinds, the unescape
  * callable and the fixed text of the doc_json formats all come from html.py
  * through `setup()`, so both paths read one table.
  *
@@ -22,10 +22,14 @@
  * extract(text, max_link_density, min_paragraph_chars, deadline) returns
  * (text, spans, doc_json, n_blocks_total, n_blocks_kept), or None once
  * CLOCK_MONOTONIC (time.monotonic's clock) passes `deadline`, checked every
- * 64 KiB of input; `deadline` None means no limit. */
+ * 64 KiB of input; `deadline` None means no limit.  `spans` is one bytes
+ * object of native int64 triples (start, end, kind code), one per kept
+ * block in text order; the kind code indexes html.py's SPAN_KINDS.  No
+ * Python object is made per span. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <stdint.h>
 #include <string.h>
 #include <time.h>
 
@@ -48,11 +52,10 @@ static int g_bucket_start[27]; /* g_tags[g_bucket_start[c]..g_bucket_start[c+1])
 static char g_raw[N_RAW_MAX][MAX_TAG_LEN + 1];
 static int g_raw_len[N_RAW_MAX];
 static int g_n_raw;
-static PyObject *g_kind_obj[N_KINDS]; /* the KIND_* str objects */
+static PyObject *g_kind_obj[N_KINDS]; /* SPAN_KINDS[k - 1], owning g_kind_str[k] */
 static const char *g_kind_str[N_KINDS];
 static Py_ssize_t g_kind_len[N_KINDS];
 static PyObject *g_unescape;
-static PyObject *g_key_start, *g_key_end, *g_key_kind;
 /* the text of _DOC_JSON_FMT around its four placeholders (n_blocks_kept,
  * n_blocks_total, n_chars, spans) and of _SPAN_JSON_FMT around its three
  * (end, kind, start) */
@@ -611,7 +614,7 @@ static PyObject *assemble(State *st)
     if (bits > 0x10ffff)
         bits = 0x10ffff;
     PyObject *text = PyUnicode_New(out_len, bits);
-    PyObject *spans = PyList_New(kept);
+    PyObject *spans = PyBytes_FromStringAndSize(NULL, kept * 3 * (Py_ssize_t)sizeof(int64_t));
     char *json = PyMem_Malloc((size_t)json_cap);
     PyObject *doc_json = NULL, *result = NULL;
     if (!text || !spans || !json) {
@@ -629,6 +632,7 @@ static PyObject *assemble(State *st)
     p = PUT_FRAG(p, DOC_FRAG(2));
     p = put_int(p, out_len);
     p = PUT_FRAG(p, DOC_FRAG(3));
+    char *sp = spans ? PyBytes_AS_STRING(spans) : NULL;
     Py_ssize_t off = 0, s = 0;
     for (Py_ssize_t i = 0; i < st->n_blocks; i++) {
         Block *b = &st->blocks[i];
@@ -653,20 +657,8 @@ static PyObject *assemble(State *st)
         default:
             memcpy((Py_UCS4 *)td + off, src, (size_t)b->len * sizeof(Py_UCS4));
         }
-        PyObject *span = PyDict_New();
-        PyObject *v_start = PyLong_FromSsize_t(off);
-        PyObject *v_end = PyLong_FromSsize_t(off + b->len);
-        int bad = !span || !v_start || !v_end ||
-                  PyDict_SetItem(span, g_key_start, v_start) < 0 ||
-                  PyDict_SetItem(span, g_key_end, v_end) < 0 ||
-                  PyDict_SetItem(span, g_key_kind, g_kind_obj[b->kind]) < 0;
-        Py_XDECREF(v_start);
-        Py_XDECREF(v_end);
-        if (bad) {
-            Py_XDECREF(span);
-            goto done;
-        }
-        PyList_SET_ITEM(spans, s, span);
+        int64_t triple[3] = {off, off + b->len, b->kind - 1};
+        memcpy(sp + s * sizeof triple, triple, sizeof triple);
         p = PUT_FRAG(p, SPAN_FRAG(0));
         p = put_int(p, off + b->len);
         p = PUT_FRAG(p, SPAN_FRAG(1));
@@ -781,19 +773,30 @@ static const char *ascii_name(PyObject *s, Py_ssize_t *len)
     return u;
 }
 
-/* setup(tag_flags, rawtext_tags, paragraph, heading, list_item, table,
- * unescape, doc_frags, span_frags): tag_flags maps a lower-case tag name to
- * html.py's (is_block, is_void, is_skip, is_boiler, kind, is_anchor,
- * is_table); doc_frags and span_frags are the ASCII text around the
- * placeholders of _DOC_JSON_FMT and _SPAN_JSON_FMT. */
+/* setup(tag_flags, rawtext_tags, span_kinds, unescape, doc_frags,
+ * span_frags): tag_flags maps a lower-case tag name to html.py's (is_block,
+ * is_void, is_skip, is_boiler, kind, is_anchor, is_table); span_kinds starts
+ * with the paragraph, heading, list_item and table kinds, whose indices are
+ * the span kind codes; doc_frags and span_frags are the ASCII text around
+ * the placeholders of _DOC_JSON_FMT and _SPAN_JSON_FMT. */
 static PyObject *setup(PyObject *Py_UNUSED(self), PyObject *args)
 {
-    PyObject *flags, *raw, *kinds[N_KINDS] = {NULL}, *unescape, *doc_frags, *span_frags;
-    if (!PyArg_ParseTuple(args, "O!O!UUUUOO!O!:setup", &PyDict_Type, &flags, &PyTuple_Type, &raw,
-                          &kinds[K_PARAGRAPH], &kinds[K_HEADING], &kinds[K_LIST_ITEM],
-                          &kinds[K_TABLE], &unescape, &PyTuple_Type, &doc_frags,
+    PyObject *flags, *raw, *span_kinds, *kinds[N_KINDS] = {NULL}, *unescape, *doc_frags, *span_frags;
+    if (!PyArg_ParseTuple(args, "O!O!O!OO!O!:setup", &PyDict_Type, &flags, &PyTuple_Type, &raw,
+                          &PyTuple_Type, &span_kinds, &unescape, &PyTuple_Type, &doc_frags,
                           &PyTuple_Type, &span_frags))
         return NULL;
+    if (PyTuple_GET_SIZE(span_kinds) < N_KINDS - 1) {
+        PyErr_SetString(PyExc_ValueError, "span_kinds needs the 4 block kinds first");
+        return NULL;
+    }
+    for (int k = 1; k < N_KINDS; k++) {
+        kinds[k] = PyTuple_GET_ITEM(span_kinds, k - 1);
+        if (!PyUnicode_Check(kinds[k])) {
+            PyErr_SetString(PyExc_TypeError, "span kinds must be str");
+            return NULL;
+        }
+    }
     if (PyTuple_GET_SIZE(raw) > N_RAW_MAX) {
         PyErr_SetString(PyExc_ValueError, "too many raw-text tags");
         return NULL;
@@ -900,10 +903,10 @@ fail:
 static PyMethodDef methods[] = {
     {"extract", (PyCFunction)(void (*)(void))extract, METH_FASTCALL,
      "extract(text, max_link_density, min_paragraph_chars, deadline) -> "
-     "(text, spans, doc_json, n_blocks_total, n_blocks_kept), or None past the deadline"},
+     "(text, spans, doc_json, n_blocks_total, n_blocks_kept), or None past the deadline; "
+     "spans packs (start, end, kind code) as native int64"},
     {"setup", setup, METH_VARARGS,
-     "setup(tag_flags, rawtext_tags, paragraph, heading, list_item, table, unescape, "
-     "doc_frags, span_frags)"},
+     "setup(tag_flags, rawtext_tags, span_kinds, unescape, doc_frags, span_frags)"},
     {NULL, NULL, 0, NULL},
 };
 
@@ -919,10 +922,5 @@ PyMODINIT_FUNC PyInit__htmlkernel(void)
 {
     for (Py_UCS4 c = 0; c < 256; c++)
         g_class[c] = c == '<' || c == '&' ? C_STOP : is_space(c) ? C_SPACE : C_TEXT;
-    g_key_start = PyUnicode_InternFromString("start");
-    g_key_end = PyUnicode_InternFromString("end");
-    g_key_kind = PyUnicode_InternFromString("kind");
-    if (!g_key_start || !g_key_end || !g_key_kind)
-        return NULL;
     return PyModule_Create(&module);
 }

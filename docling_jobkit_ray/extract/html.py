@@ -13,6 +13,12 @@ and ``assemble``.  A second tokenizer, the stdlib ``HTMLParser``, feeds the
 same machine as a cross-check.  tests/test_native_kernel.py holds the kernel
 to the spec byte for byte.
 
+Both paths return spans packed: one buffer of native int64 triples
+``(start, end, kind code)``, the code indexing ``SPAN_KINDS``.  The Ray
+stage builds its Arrow ``spans`` column straight from those bytes, so no
+Python object is made per span; ``ExtractedDoc.spans`` is the list-of-dict
+view for the row-dict path.
+
 Semantics preserved from the reference's per-document convert shape
 (``/root/reference/docling_jobkit/datamodel/exportable_document.py:53-122``):
 one input document -> one record with ``text``, ``spans``, ``doc_json``,
@@ -35,7 +41,8 @@ from __future__ import annotations
 import re
 import threading
 import warnings
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from html import unescape as _unescape
 from html.parser import HTMLParser
 
@@ -48,6 +55,10 @@ KIND_HEADING = "heading"
 KIND_LIST_ITEM = "list_item"
 KIND_TABLE = "table"
 KIND_PAGE = "page"
+# Span kind codes: a packed span's third int64 indexes this tuple.  The
+# kernel's codes are the first four, in this order.
+SPAN_KINDS = (KIND_PARAGRAPH, KIND_HEADING, KIND_LIST_ITEM, KIND_TABLE, KIND_PAGE)
+_KIND_CODE = {kind: code for code, kind in enumerate(SPAN_KINDS)}
 
 # Tags whose text content never contributes to output.
 _SKIP_TAGS = frozenset({"script", "style", "noscript", "template", "head", "title", "svg", "iframe", "textarea"})
@@ -92,22 +103,39 @@ _DOC_JSON_FMT = (
 _SPAN_JSON_FMT = '{"end":%d,"kind":"%s","start":%d}'
 
 
+def span_dicts(packed: bytes) -> list[dict]:
+    """Packed span bytes -> ``[{"start", "end", "kind"}, ...]``."""
+    a = array("q", packed)
+    kinds = SPAN_KINDS
+    return [
+        {"start": a[i], "end": a[i + 1], "kind": kinds[a[i + 2]]}
+        for i in range(0, len(a), 3)
+    ]
+
+
 @dataclass
 class ExtractedDoc:
     """The per-document record (ExportableDocument-equivalent)."""
 
     text: str
-    spans: list[dict] = field(default_factory=list)  # {start,end,kind}
+    packed: bytes = b""  # native int64 (start, end, kind code) per span
     n_blocks_total: int = 0
     n_blocks_kept: int = 0
+
+    @property
+    def spans(self) -> list[dict]:
+        """The spans as ``{start, end, kind}`` dicts, built on each read."""
+        return span_dicts(self.packed)
 
     def doc_json(self) -> str:
         # DoclingDocument-equivalent JSON, byte-equal to
         # json.dumps(payload, sort_keys=True, separators=(",", ":")): the
         # fragments are laid out in sorted-key order and span kinds are the
         # fixed ASCII KIND_* constants, which need no escaping.
-        fmt = _SPAN_JSON_FMT
-        spans = ",".join([fmt % (s["end"], s["kind"], s["start"]) for s in self.spans])
+        fmt, kinds, a = _SPAN_JSON_FMT, SPAN_KINDS, array("q", self.packed)
+        spans = ",".join(
+            [fmt % (a[i + 1], kinds[a[i + 2]], a[i]) for i in range(0, len(a), 3)]
+        )
         return _DOC_JSON_FMT % (
             self.n_blocks_kept, self.n_blocks_total, len(self.text), spans
         )
@@ -352,20 +380,20 @@ def classify_blocks(
 
 
 def assemble(blocks: list[Block]) -> ExtractedDoc:
-    """Join kept blocks with \\n\\n; record char-offset spans."""
+    """Join kept blocks with \\n\\n; record char-offset spans, packed."""
     kept = [b for b in blocks if b.good]
     parts: list[str] = []
-    spans: list[dict] = []
+    spans = array("q")
     offset = 0
     for b in kept:
         if parts:
             offset += 2  # "\n\n"
-        spans.append({"start": offset, "end": offset + len(b.text), "kind": b.kind})
+        spans += array("q", (offset, offset + len(b.text), _KIND_CODE[b.kind]))
         parts.append(b.text)
         offset += len(b.text)
     return ExtractedDoc(
         text="\n\n".join(parts),
-        spans=spans,
+        packed=spans.tobytes(),
         n_blocks_total=len(blocks),
         n_blocks_kept=len(kept),
     )
@@ -384,8 +412,7 @@ deadline = threading.local()
 _native = load_native()
 if _native is not None:
     _native.setup(
-        _TAG_FLAGS, _RAWTEXT_TAGS,
-        KIND_PARAGRAPH, KIND_HEADING, KIND_LIST_ITEM, KIND_TABLE, _unescape,
+        _TAG_FLAGS, _RAWTEXT_TAGS, SPAN_KINDS, _unescape,
         # the fixed text around the placeholders of the doc_json formats
         tuple(re.split("%[ds]", _DOC_JSON_FMT)), tuple(re.split("%[ds]", _SPAN_JSON_FMT)),
     )

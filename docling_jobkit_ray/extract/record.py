@@ -5,6 +5,13 @@ Ray pipeline UDFs (SURVEY.md §7.3: byte-identity by construction).  Output row
 schema mirrors the reference's ``ExportableDocument``
 (``/root/reference/docling_jobkit/datamodel/exportable_document.py:53-122``):
 identity (url), status, content (text/spans/doc_json), error surface.
+
+One function decides each document: :func:`extract_document` returns an
+:data:`Outcome` tuple, spans packed.  Two consumers share it: the row-dict
+path (:func:`extract_record`, the oracle, the A/B compare), which turns an
+outcome into a dict with list-of-dict spans, and the Ray stage
+(``stages.extract.ExtractDocuments``), which builds its Arrow table column by
+column from a batch of outcomes.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ import contextlib
 import json
 import threading
 import time
+from array import array
 from dataclasses import dataclass
 
 from . import binarydoc
@@ -23,7 +31,6 @@ from .errors import (
     DecodeError,
     DocumentTimeoutError,
     EmptyPayloadError,
-    ExtractError,
     PayloadTooLargeError,
     TooManyPagesError,
     classify_exception,
@@ -32,11 +39,15 @@ from .html import (
     DEFAULT_MAX_LINK_DENSITY,
     DEFAULT_MIN_PARAGRAPH_CHARS,
     KIND_PAGE,
+    SPAN_KINDS,
+    ExtractedDoc,
     deadline as html_deadline,
     extract_html,
+    span_dicts,
 )
 
 PAGE_SEP = "\n\n"
+_PAGE_CODE = SPAN_KINDS.index(KIND_PAGE)
 
 
 @dataclass(frozen=True)
@@ -225,62 +236,43 @@ def document_deadline(seconds: float | None):
             pass
 
 
-def assemble_pages(page_texts: list[str]) -> tuple[str, list[dict]]:
-    """Join page texts with PAGE_SEP and emit one span per page.
+@dataclass
+class _PagesDoc(ExtractedDoc):
+    """A binary document's pages: one ``KIND_PAGE`` span per page."""
+
+    n_pages: int = 0
+
+    def doc_json(self) -> str:
+        payload = {
+            "schema": "docling-jobkit-ray/extracted-pages@1",
+            "n_chars": len(self.text),
+            "n_pages": self.n_pages,
+            "spans": [
+                {"end": s["end"], "kind": s["kind"], "start": s["start"]} for s in self.spans
+            ],
+        }
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def pages_doc(page_texts: list[str], n_pages: int) -> ExtractedDoc:
+    """Join page texts with PAGE_SEP, one packed ``KIND_PAGE`` span per page.
 
     Shared by the inline path and the slice-reassembly path so both produce
     byte-identical text (SURVEY.md §7.3, slice ordering concern)."""
-    spans: list[dict] = []
+    spans = array("q")
     offset = 0
     for i, t in enumerate(page_texts):
         if i > 0:
             offset += len(PAGE_SEP)
-        spans.append({"start": offset, "end": offset + len(t), "kind": KIND_PAGE})
+        spans += array("q", (offset, offset + len(t), _PAGE_CODE))
         offset += len(t)
-    return PAGE_SEP.join(page_texts), spans
+    return _PagesDoc(PAGE_SEP.join(page_texts), spans.tobytes(), n_pages=n_pages)
 
 
-def pages_doc_json(text: str, spans: list[dict], n_pages: int) -> str:
-    payload = {
-        "schema": "docling-jobkit-ray/extracted-pages@1",
-        "n_chars": len(text),
-        "n_pages": n_pages,
-        "spans": [
-            {"end": s["end"], "kind": s["kind"], "start": s["start"]} for s in spans
-        ],
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _success_row(url: str, text: str, spans: list[dict], doc_json: str, status: str = STATUS_SUCCESS, error: str | None = None) -> dict:
-    return {
-        "url": url,
-        "status": status,
-        "text": text,
-        "spans": spans,
-        "doc_json": doc_json,
-        "n_chars": len(text),
-        "error": error,
-        "category": None,
-        "retryable": None,
-    }
-
-
-def _failure_row(url: str, exc: BaseException) -> dict:
-    """FAILURE row preserving identity + error, mirroring
-    ``_build_failed_exportable_document`` (convert/results.py:112-127)."""
-    category, retryable, phase = classify_exception(exc)
-    return {
-        "url": url,
-        "status": STATUS_FAILURE,
-        "text": "",
-        "spans": [],
-        "doc_json": "",
-        "n_chars": 0,
-        "error": f"{type(exc).__name__}: {exc} [phase={phase}]",
-        "category": category,
-        "retryable": retryable,
-    }
+def assemble_pages(page_texts: list[str]) -> tuple[str, list[dict]]:
+    """``pages_doc``'s text and spans, the spans as dicts."""
+    doc = pages_doc(page_texts, len(page_texts))
+    return doc.text, doc.spans
 
 
 def preflight(data: bytes, options: ExtractOptions) -> None:
@@ -312,51 +304,108 @@ def page_span(n_pages: int, page_range: tuple[int, int] | None) -> tuple[int, in
     return lo, max(hi, lo)
 
 
-def extract_record(url: str, data: bytes, options: ExtractOptions) -> dict:
+# One document's result, in EXTRACTED_SCHEMA's column order without url,
+# n_chars and partition_id: (status, text, packed spans, doc_json, error,
+# category, retryable).
+Outcome = tuple
+
+
+def failure_outcome(exc: BaseException) -> Outcome:
+    """FAILURE outcome preserving the error, mirroring
+    ``_build_failed_exportable_document`` (convert/results.py:112-127)."""
+    category, retryable, phase = classify_exception(exc)
+    error = f"{type(exc).__name__}: {exc} [phase={phase}]"
+    return (STATUS_FAILURE, "", b"", "", error, category, retryable)
+
+
+def _decide(data: bytes, options: ExtractOptions) -> Outcome:
+    preflight(data, options)
+    if binarydoc.is_binary_doc(data):
+        directory = binarydoc.parse_directory(data)
+        lo, hi = page_span(len(directory), options.page_range)
+        page_texts, errors = binarydoc.parse_pages(data, directory, lo, hi)
+        doc = pages_doc(page_texts, hi - lo)
+        if not errors:
+            return (STATUS_SUCCESS, doc.text, doc.packed, doc.doc_json(), None, None, None)
+        error = "; ".join(errors)
+        if len(errors) == hi - lo:
+            return failure_outcome(DecodeError(error))
+        return (STATUS_PARTIAL_SUCCESS, doc.text, doc.packed, doc.doc_json(), error, None, None)
+    # HTML path: strict UTF-8 decode; invalid bytes -> dead letter.
+    try:
+        html_text = data.decode("utf-8", errors="strict")
+    except UnicodeDecodeError as exc:
+        raise DecodeError(f"payload not UTF-8 ({exc.reason})") from exc
+    doc = extract_html(
+        html_text,
+        max_link_density=options.max_link_density,
+        min_paragraph_chars=options.min_paragraph_chars,
+    )
+    return (STATUS_SUCCESS, doc.text, doc.packed, doc.doc_json(), None, None, None)
+
+
+def extract_document(data: bytes, options: ExtractOptions) -> Outcome:
     """One document, full pipeline, all expected errors absorbed.
 
-    Never raises for data-dependent failures — returns a FAILURE row instead
-    (per-row failure isolation vs Ray's block-level retry, SURVEY.md §7.3).
-    ``options.document_timeout`` bounds the wall-clock spent on one document;
-    expiry dead-letters the row with CATEGORY_TIMEOUT.
+    Never raises for data-dependent failures — returns a FAILURE outcome
+    instead (per-row failure isolation vs Ray's block-level retry, SURVEY.md
+    §7.3).  ``options.document_timeout`` bounds the wall-clock spent on one
+    document; expiry dead-letters it with CATEGORY_TIMEOUT.
     """
     try:
-        with document_deadline(options.document_timeout):
-            preflight(data, options)
-            if binarydoc.is_binary_doc(data):
-                directory = binarydoc.parse_directory(data)
-                lo, hi = page_span(len(directory), options.page_range)
-                page_texts, errors = binarydoc.parse_pages(data, directory, lo, hi)
-                n_sel = hi - lo
-                text, spans = assemble_pages(page_texts)
-                doc_json = pages_doc_json(text, spans, n_sel)
-                if errors and len(errors) == n_sel:
-                    status = STATUS_FAILURE
-                elif errors:
-                    status = STATUS_PARTIAL_SUCCESS
-                else:
-                    status = STATUS_SUCCESS
-                if status == STATUS_FAILURE:
-                    return _failure_row(url, DecodeError("; ".join(errors)))
-                return _success_row(
-                    url, text, spans, doc_json, status=status,
-                    error="; ".join(errors) if errors else None,
-                )
-            # HTML path: strict UTF-8 decode; invalid bytes -> dead letter.
-            try:
-                html_text = data.decode("utf-8", errors="strict")
-            except UnicodeDecodeError as exc:
-                raise DecodeError(f"payload not UTF-8 ({exc.reason})") from exc
-            doc = extract_html(
-                html_text,
-                max_link_density=options.max_link_density,
-                min_paragraph_chars=options.min_paragraph_chars,
-            )
-            return _success_row(url, doc.text, doc.spans, doc.doc_json())
-    except ExtractError as exc:
-        return _failure_row(url, exc)
-    except Exception as exc:  # unexpected: still absorb, classified internal
-        return _failure_row(url, exc)
+        if options.document_timeout:
+            with document_deadline(options.document_timeout):
+                return _decide(data, options)
+        return _decide(data, options)
+    except Exception as exc:  # typed ExtractErrors and the unexpected alike
+        return failure_outcome(exc)
+
+
+def outcome_row(url: str, outcome: Outcome) -> dict:
+    """An outcome as a row dict, its spans as ``{start, end, kind}`` dicts."""
+    status, text, packed, doc_json, error, category, retryable = outcome
+    return {
+        "url": url,
+        "status": status,
+        "text": text,
+        "spans": span_dicts(packed),
+        "doc_json": doc_json,
+        "n_chars": len(text),
+        "error": error,
+        "category": category,
+        "retryable": retryable,
+    }
+
+
+def extract_record(url: str, data: bytes, options: ExtractOptions) -> dict:
+    """:func:`extract_document` as a row dict."""
+    return outcome_row(url, extract_document(data, options))
+
+
+def _redrive(attempt, is_retryable, options: ExtractOptions, sleep):
+    result = attempt()
+    for _ in range(options.retry_attempts):
+        if not is_retryable(result):
+            break
+        if options.retry_delay > 0:
+            sleep(options.retry_delay)
+        result = attempt()
+    return result
+
+
+def extract_document_with_retry(
+    data: bytes, options: ExtractOptions, *, sleep=time.sleep
+) -> Outcome:
+    """:func:`extract_document` with :func:`extract_record_with_retry`'s
+    bounded re-drives of RETRYABLE failures."""
+    if not options.retry_attempts:
+        return extract_document(data, options)
+    return _redrive(
+        lambda: extract_document(data, options),
+        lambda o: o[0] == STATUS_FAILURE and o[6],
+        options,
+        sleep,
+    )
 
 
 def extract_record_with_retry(
@@ -374,14 +423,12 @@ def extract_record_with_retry(
     successes return immediately.  ``extract_fn`` is injectable so tests can
     model transient faults (the production kernel is deterministic)."""
     fn = extract_fn or extract_record
-    row = fn(url, data, options)
-    for _ in range(options.retry_attempts):
-        if row["status"] != STATUS_FAILURE or not row.get("retryable"):
-            break
-        if options.retry_delay > 0:
-            sleep(options.retry_delay)
-        row = fn(url, data, options)
-    return row
+    return _redrive(
+        lambda: fn(url, data, options),
+        lambda row: row["status"] == STATUS_FAILURE and row.get("retryable"),
+        options,
+        sleep,
+    )
 
 
 def extract_corpus_oracle(rows: list[tuple[str, bytes]], options: ExtractOptions) -> list[dict]:

@@ -9,7 +9,12 @@ LRU converter cache ``convert/manager.py:426-479``).
 
 All batches are Arrow (``batch_format="pyarrow"``, zero-copy from the object
 store).  The per-row loop inside a batch is intentional: document parsing is
-the heavy kernel here (like model inference), not a cheap columnar op.
+the heavy kernel here (like model inference), not a cheap columnar op.  The
+loop keeps one outcome tuple per document (``record.extract_document``,
+spans packed as int64 bytes) and the output table is built column by
+column from those: the ``spans`` column from one buffer of all the batch's
+packed spans, ``n_chars`` from the text lengths, ``partition_id`` from one
+crc32 per distinct path.  No Python dict is made per span or per row.
 Expected per-document failures never raise — they become FAILURE rows
 (dead-letter routing, SURVEY.md §4.2).
 """
@@ -20,9 +25,11 @@ import gc
 import zlib
 from dataclasses import asdict
 
+import numpy as np
 import pyarrow as pa
 
-from ..extract.record import ExtractOptions, extract_record_with_retry
+from ..extract.html import SPAN_KINDS
+from ..extract.record import ExtractOptions, extract_document_with_retry, failure_outcome
 
 SPAN_TYPE = pa.list_(
     pa.struct([("start", pa.int64()), ("end", pa.int64()), ("kind", pa.string())])
@@ -51,6 +58,55 @@ def partition_id_for_path(path: str | None, url: str) -> int:
     (``connectors/source_processor.py:15-22``)."""
     key = path if path else url
     return zlib.crc32(key.encode("utf-8")) & 0x7FFFFFFF
+
+
+_SPAN_KIND_ARRAY = pa.array(SPAN_KINDS, pa.string())
+
+
+def outcomes_to_table(urls: list, outcomes: list[tuple], partition_ids: list[int]) -> pa.Table:
+    """``record.extract_document`` outcomes -> an ``EXTRACTED_SCHEMA`` table,
+    equal to ``rows_to_extracted_table`` over the same rows as dicts."""
+    n = len(outcomes)
+    status, text, packed, doc_json, error, category, retryable = (
+        zip(*outcomes) if n else ((),) * 7
+    )
+    triples = np.frombuffer(b"".join(packed), dtype=np.int64).reshape(-1, 3)
+    offsets = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.fromiter(map(len, packed), np.int64, n) // 24, out=offsets[1:])  # 24 B a span
+    span_fields = list(SPAN_TYPE.value_type)
+    spans = pa.ListArray.from_arrays(
+        pa.array(offsets),
+        pa.StructArray.from_arrays(
+            [
+                pa.array(triples[:, 0]),
+                pa.array(triples[:, 1]),
+                _SPAN_KIND_ARRAY.take(pa.array(triples[:, 2])),
+            ],
+            fields=span_fields,
+        ),
+    )
+    arrays = [
+        pa.array(urls, pa.string()),
+        pa.array(status, pa.string()),
+        pa.array(text, pa.string()),
+        spans,
+        pa.array(doc_json, pa.string()),
+        pa.array(np.fromiter(map(len, text), np.int64, n)),
+        pa.array(error, pa.string()),
+        pa.array(category, pa.string()),
+        pa.array(retryable, pa.bool_()),
+        pa.array(partition_ids, pa.int32()),
+    ]
+    return pa.Table.from_arrays(arrays, schema=EXTRACTED_SCHEMA)
+
+
+def _partition_ids(paths: list | None, urls: list) -> list[int]:
+    """``partition_id_for_path`` per row: one crc32 per distinct path; a row
+    without a path hashes its url."""
+    if paths is None:
+        paths = [None] * len(urls)
+    by_path = {p: partition_id_for_path(p, "") for p in set(paths) if p}
+    return [by_path[p] if p else partition_id_for_path(None, u) for p, u in zip(paths, urls)]
 
 
 def rows_to_extracted_table(rows: list[dict]) -> pa.Table:
@@ -146,13 +202,11 @@ class ExtractDocuments:
         return opts
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        # the batch is read only through column_names and
+        # column(name).to_pylist(), so a stand-in table can time that read
         urls = batch.column("url").to_pylist()
         htmls = batch.column("html").to_pylist()
-        paths = (
-            batch.column("path").to_pylist()
-            if "path" in batch.column_names
-            else [None] * len(urls)
-        )
+        paths = batch.column("path").to_pylist() if "path" in batch.column_names else None
         if self.options_col:
             if self.options_col not in batch.column_names:
                 # a misconfigured multi-tenant job must not silently run
@@ -164,26 +218,22 @@ class ExtractDocuments:
             opts_json = batch.column(self.options_col).to_pylist()
         else:
             opts_json = [None] * len(urls)
-        rows = []
-        for url, payload, path, oj in zip(urls, htmls, paths, opts_json):
+        outcomes = []
+        for payload, oj in zip(htmls, opts_json):
             try:
                 opts = self._resolve_options(oj)
             except Exception as exc:
                 # malformed per-row options JSON is a ROW failure, not a
                 # block failure: dead-letter it, don't kill the task
-                from ..extract.record import _failure_row
-
-                row = _failure_row(url, exc)
-            else:
-                # retry-then-dead-letter wrapper: retryable failures
-                # (timeout, capacity) get options.retry_attempts re-drives
-                # before the FAILURE row is final (serve_deployment.py:693-747)
-                row = extract_record_with_retry(
-                    url, payload if payload is not None else b"", opts
-                )
-            row["partition_id"] = partition_id_for_path(path, url)
-            rows.append(row)
-        return rows_to_extracted_table(rows)
+                outcomes.append(failure_outcome(exc))
+                continue
+            # retry-then-dead-letter wrapper: retryable failures
+            # (timeout, capacity) get options.retry_attempts re-drives
+            # before the FAILURE row is final (serve_deployment.py:693-747)
+            outcomes.append(
+                extract_document_with_retry(payload if payload is not None else b"", opts)
+            )
+        return outcomes_to_table(urls, outcomes, _partition_ids(paths, urls))
 
 
 def options_to_kwargs(options: ExtractOptions) -> dict:

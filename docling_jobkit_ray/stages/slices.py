@@ -38,10 +38,9 @@ from ..extract.errors import (
 )
 from ..extract.record import (
     ExtractOptions,
-    assemble_pages,
     document_deadline,
     page_span,
-    pages_doc_json,
+    pages_doc,
 )
 from .extract import EXTRACTED_SCHEMA, partition_id_for_path, rows_to_extracted_table
 
@@ -316,16 +315,10 @@ def _merge_one(
     categories: list[str | None] | None = None,
 ) -> dict:
     """Merge one url's slice partials (already in slice_index order) into a
-    document row.  Text concat with PAGE_SEP via the SAME ``assemble_pages``
+    document row.  Text concat with PAGE_SEP via the SAME ``pages_doc``
     helper the inline path uses — byte-identity by construction; status
     merge per ``_assemble_slice_results`` (serve_deployment.py:510-549)."""
     errors = [e for e in errors_in if e]
-    n_pages_total = int(sum(n_pages_list))
-    page_texts: list[str] = []
-    for pts in page_text_lists:
-        page_texts.extend(pts)
-    text, spans = assemble_pages(page_texts)
-    doc_json = pages_doc_json(text, spans, n_pages_total)
 
     if all(s == STATUS_SUCCESS for s in statuses):
         status = STATUS_SUCCESS
@@ -350,13 +343,17 @@ def _merge_one(
             "retryable": category == CATEGORY_TIMEOUT,
             "partition_id": int(partition_id),
         }
+    page_texts: list[str] = []
+    for pts in page_text_lists:
+        page_texts.extend(pts)
+    doc = pages_doc(page_texts, int(sum(n_pages_list)))
     return {
         "url": url,
         "status": status,
-        "text": text,
-        "spans": spans,
-        "doc_json": doc_json,
-        "n_chars": len(text),
+        "text": doc.text,
+        "spans": doc.spans,
+        "doc_json": doc.doc_json(),
+        "n_chars": len(doc.text),
         "error": "; ".join(errors) if errors else None,
         "category": None,
         "retryable": None,

@@ -87,9 +87,12 @@ def _fields(d: html.ExtractedDoc) -> tuple:
 def mismatch(doc: str, **kw) -> tuple | None:
     """-> (python, native) fields when the two paths disagree, else None.
     Equal str objects are also of equal PEP 393 kind (str == compares
-    kinds), so a non-canonical kernel string fails here too."""
-    want = _fields(_spec(doc, **kw))
-    got = _fields(html.extract_html(doc, **kw))
+    kinds), so a non-canonical kernel string fails here too.  The packed
+    span bytes, which the Ray stage reads, are compared as well as their
+    dict view."""
+    spec, native = _spec(doc, **kw), html.extract_html(doc, **kw)
+    want = (*_fields(spec), spec.packed)
+    got = (*_fields(native), native.packed)
     return None if got == want else (want, got)
 
 
