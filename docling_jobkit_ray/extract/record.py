@@ -247,9 +247,7 @@ class _PagesDoc(ExtractedDoc):
             "schema": "docling-jobkit-ray/extracted-pages@1",
             "n_chars": len(self.text),
             "n_pages": self.n_pages,
-            "spans": [
-                {"end": s["end"], "kind": s["kind"], "start": s["start"]} for s in self.spans
-            ],
+            "spans": self.spans,
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 

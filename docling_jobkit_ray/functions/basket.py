@@ -53,21 +53,17 @@ _BASKET_SCHEMA = pa.schema(
 _COUNT_SCHEMA = pa.schema([("key", pa.int64()), ("n", pa.int64())])
 
 
-def basket_association_rules(
-    sf_dir: str, *, min_support: int = _MIN_SUPPORT, n_buckets: int | None = None
-) -> ray.data.Dataset:
-    """Directed association rules (a -> b) with ``supp_ab >= min_support``:
-    columns ``a, b, supp_ab, conf_ppm, lift_ppm``, ordered by (a, b)."""
-    from ray.data.aggregate import Sum
-
+def _order_baskets(sf_dir: str, n_buckets: int | None):
+    """lineitem's ``(order, part)`` baskets for the order-bucketed
+    exchange: -> (the lineitem read, its keyed emit, the bucket count, the
+    lineitem row estimate).  The emit dedups ``(okey, part)`` per batch and
+    keys each row by order, so an order's basket meets in one bucket."""
     from ..scale import bucket_count, estimate_rows
     from ..sources.pages import read_table
 
     est = estimate_rows(sf_dir, "lineitem")
     n_b = n_buckets or bucket_count(est)
     mask = pa.scalar(n_b - 1, pa.int64())
-
-    li = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
 
     def basket_partial(batch: pa.Table) -> pa.Table:
         t = (
@@ -77,36 +73,45 @@ def basket_association_rules(
         )
         return t.append_column("bucket", pc.bit_wise_and(t["okey"], mask))
 
-    def count_bucket(group: pa.Table) -> pa.Table:
-        df = group.select(["okey", "part"]).to_pandas().drop_duplicates()
-        # directed pairs within each basket
-        m = df.merge(df, on="okey")
-        m = m[m["part_x"] != m["part_y"]]
-        # +1 shift keeps the pair domain strictly >= 2^32 even for
-        # partkey 0 (which otherwise collides with the item-key domain)
-        pair_key = ((m["part_x"].to_numpy() + 1) << 32) + m["part_y"].to_numpy()
-        pk, pn = np.unique(pair_key, return_counts=True)
-        # item supports: distinct orders per part (orders are whole here)
-        ik, in_ = np.unique(df["part"].to_numpy(), return_counts=True)
-        n_orders = df["okey"].nunique()
-        keys = np.concatenate([pk, ik, np.array([-1], np.int64)])
-        ns = np.concatenate([pn, in_, np.array([n_orders], np.int64)])
-        return pa.table(
-            {"key": pa.array(keys, pa.int64()), "n": pa.array(ns, pa.int64())}
-        )
+    li = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
+    return li, basket_partial, n_b, est
 
+
+def _count_bucket(group: pa.Table, *, items: bool = True) -> pa.Table:
+    """One order bucket's baskets -> ``_COUNT_SCHEMA`` partial counts: each
+    directed pair key ``(a+1) * 2^32 + b`` with the orders holding both;
+    with ``items``, also each item key ``part`` with its orders and the key
+    -1 with the number of orders (orders are whole in a bucket)."""
+    df = group.select(["okey", "part"]).to_pandas().drop_duplicates()
+    # directed pairs within each basket
+    m = df.merge(df, on="okey")
+    m = m[m["part_x"] != m["part_y"]]
+    # +1 shift keeps the pair domain strictly >= 2^32 even for
+    # partkey 0 (which otherwise collides with the item-key domain)
+    pair_key = ((m["part_x"].to_numpy() + 1) << 32) + m["part_y"].to_numpy()
+    keys, ns = np.unique(pair_key, return_counts=True)
+    if items:
+        ik, in_ = np.unique(df["part"].to_numpy(), return_counts=True)
+        keys = np.concatenate([keys, ik, np.array([-1], np.int64)])
+        ns = np.concatenate([ns, in_, np.array([df["okey"].nunique()], np.int64)])
+    return pa.table({"key": pa.array(keys, pa.int64()), "n": pa.array(ns, pa.int64())})
+
+
+def _order_counts(sf_dir: str, n_buckets: int | None):
+    """The one count fold under the rules and the co-occurrence table:
+    -> (counts, item_keys, item_ns, n_orders, n_b).  ``counts`` holds the
+    global count of every pair, item and the -1 order key, pinned (each
+    caller reads it twice; branching re-executes the shared parent,
+    CLAUDE.md); the item side comes back as key-sorted numpy arrays."""
+    from ray.data.aggregate import Sum
+
+    li, emit, n_b, _est = _order_baskets(sf_dir, n_buckets)
     counts = (
         bucket_exchange(
-            li,
-            count_bucket,
-            schema=_BASKET_SCHEMA,
-            out_schema=_COUNT_SCHEMA,
-            emit=basket_partial,
+            li, _count_bucket, schema=_BASKET_SCHEMA, out_schema=_COUNT_SCHEMA, emit=emit
         )
         .groupby("key")
         .aggregate(Sum(on="n", alias_name="n"))
-        # item supports and rules BOTH read this — pin it (branching
-        # re-executes the shared parent, CLAUDE.md)
         .materialize()
     )
 
@@ -114,20 +119,26 @@ def basket_association_rules(
     def small_side(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0 or batch.num_columns == 0:
             return _COUNT_SCHEMA.empty_table()
-        return pa.table(
-            {"key": pc.cast(batch["key"], pa.int64()),
-             "n": pc.cast(batch["n"], pa.int64())}
-        ).filter(pc.less(pc.cast(batch["key"], pa.int64()), pa.scalar(2**32, pa.int64())))
+        t = pa.table(
+            {"key": pc.cast(batch["key"], pa.int64()), "n": pc.cast(batch["n"], pa.int64())}
+        )
+        return t.filter(pc.less(t["key"], pa.scalar(2**32, pa.int64())))
 
     # bounded: one row per part (the part dimension) plus the N row
     small = counts.map_batches(small_side, batch_format="pyarrow").take_all()
-    item_keys = np.array(
-        [r["key"] for r in small if r["key"] >= 0], np.int64
-    )
+    item_keys = np.array([r["key"] for r in small if r["key"] >= 0], np.int64)
     item_ns = np.array([r["n"] for r in small if r["key"] >= 0], np.int64)
     order_item = np.argsort(item_keys)
-    item_keys, item_ns = item_keys[order_item], item_ns[order_item]
-    n_total = int(next(r["n"] for r in small if r["key"] == -1))
+    n_orders = next((int(r["n"]) for r in small if r["key"] == -1), 0)
+    return counts, item_keys[order_item], item_ns[order_item], n_orders, n_b
+
+
+def basket_association_rules(
+    sf_dir: str, *, min_support: int = _MIN_SUPPORT, n_buckets: int | None = None
+) -> ray.data.Dataset:
+    """Directed association rules (a -> b) with ``supp_ab >= min_support``:
+    columns ``a, b, supp_ab, conf_ppm, lift_ppm``, ordered by (a, b)."""
+    counts, item_keys, item_ns, n_total, _n_b = _order_counts(sf_dir, n_buckets)
 
     out_schema = pa.schema(
         [
@@ -221,70 +232,7 @@ def item_cooccurrence_topk(
     c_ab ~3e6 co-orders per pair (documented bound, same class as the
     rules' lift bound — the oracle diverges loudly past it).
     """
-    from ray.data.aggregate import Sum
-
-    from ..scale import bucket_count, estimate_rows
-    from ..sources.pages import read_table
-
-    est = estimate_rows(sf_dir, "lineitem")
-    n_b = n_buckets or bucket_count(est)
-    mask = pa.scalar(n_b - 1, pa.int64())
-
-    li = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
-
-    def basket_partial(batch: pa.Table) -> pa.Table:
-        t = (
-            pa.table({"okey": batch["l_orderkey"], "part": batch["l_partkey"]})
-            .group_by(["okey", "part"])
-            .aggregate([])
-        )
-        return t.append_column("bucket", pc.bit_wise_and(t["okey"], mask))
-
-    def count_bucket(group: pa.Table) -> pa.Table:
-        df = group.select(["okey", "part"]).to_pandas().drop_duplicates()
-        m = df.merge(df, on="okey")
-        m = m[m["part_x"] != m["part_y"]]
-        pair_key = ((m["part_x"].to_numpy() + 1) << 32) + m["part_y"].to_numpy()
-        pk, pn = np.unique(pair_key, return_counts=True)
-        ik, in_ = np.unique(df["part"].to_numpy(), return_counts=True)
-        keys = np.concatenate([pk, ik])
-        ns = np.concatenate([pn, in_])
-        return pa.table(
-            {"key": pa.array(keys, pa.int64()), "n": pa.array(ns, pa.int64())}
-        )
-
-    counts = (
-        bucket_exchange(
-            li,
-            count_bucket,
-            schema=_BASKET_SCHEMA,
-            out_schema=_COUNT_SCHEMA,
-            emit=basket_partial,
-        )
-        .groupby("key")
-        .aggregate(Sum(on="n", alias_name="n"))
-        # item side and pair side BOTH read this — pin it (branching
-        # re-executes the shared parent, CLAUDE.md)
-        .materialize()
-    )
-
-    def small_side(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or batch.num_columns == 0:
-            return _COUNT_SCHEMA.empty_table()
-        t = pa.table(
-            {
-                "key": pc.cast(batch["key"], pa.int64()),
-                "n": pc.cast(batch["n"], pa.int64()),
-            }
-        )
-        return t.filter(pc.less(t["key"], pa.scalar(2**32, pa.int64())))
-
-    # bounded: one row per item (the part dimension) plus the N row
-    small = counts.map_batches(small_side, batch_format="pyarrow").take_all()
-    item_keys = np.array([r["key"] for r in small], np.int64)
-    item_ns = np.array([r["n"] for r in small], np.int64)
-    order_item = np.argsort(item_keys)
-    item_keys, item_ns = item_keys[order_item], item_ns[order_item]
+    counts, item_keys, item_ns, _n_orders, n_b = _order_counts(sf_dir, n_buckets)
 
     scored_schema = pa.schema(
         [("bucket", pa.int64()), ("item", pa.int64()), ("nbr", pa.int64()),
@@ -410,19 +358,7 @@ def customer_recommendations(
     from ..scale import bucket_count, estimate_rows
     from ..sources.pages import read_table
 
-    est = estimate_rows(sf_dir, "lineitem")
-    n_b = n_buckets or bucket_count(est)
-    mask = pa.scalar(n_b - 1, pa.int64())
-
-    li = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_partkey"])
-
-    def basket_partial(batch: pa.Table) -> pa.Table:
-        t = (
-            pa.table({"okey": batch["l_orderkey"], "part": batch["l_partkey"]})
-            .group_by(["okey", "part"])
-            .aggregate([])
-        )
-        return t.append_column("bucket", pc.bit_wise_and(t["okey"], mask))
+    li, basket_partial, _n_b, est = _order_baskets(sf_dir, n_buckets)
 
     # NEVER groupby-aggregate the raw pair key: the sort-based aggregate
     # scales with DISTINCT-KEY cardinality (~|pairs| here — measured 13.9 s
@@ -439,18 +375,8 @@ def customer_recommendations(
         return (h & np.uint64(n_hb - 1)).astype(np.int64)
 
     def pair_bucket(group: pa.Table) -> pa.Table:
-        df = group.select(["okey", "part"]).to_pandas().drop_duplicates()
-        m = df.merge(df, on="okey")
-        m = m[m["part_x"] != m["part_y"]]
-        pair_key = ((m["part_x"].to_numpy() + 1) << 32) + m["part_y"].to_numpy()
-        pk, pn = np.unique(pair_key, return_counts=True)
-        return pa.table(
-            {
-                "hb": pa.array(_pair_hb(pk)),
-                "key": pa.array(pk, pa.int64()),
-                "n": pa.array(pn, pa.int64()),
-            }
-        )
+        t = _count_bucket(group, items=False)
+        return t.add_column(0, "hb", pa.array(_pair_hb(t["key"].to_numpy())))
 
     def fold_topk(group: pa.Table) -> pa.Table:
         tot = (

@@ -60,8 +60,9 @@ def _train_centroids(
     """Deterministic k-means on a bounded sample of ``ds`` (hash-stripe
     sampling needs a table path; for a bare Dataset the bound is a
     ``limit`` over a streamed read — callers with clustered inputs should
-    pre-shuffle or pass more cap)."""
-    sample = ds.limit(sample_cap).to_pandas()
+    pre-shuffle or pass more cap).  The sample is sorted by ``vec_id``, so
+    when it holds every row the start does not depend on block order."""
+    sample = ds.limit(sample_cap).to_pandas().sort_values("vec_id", kind="stable")
     x = _normalize(np.vstack(sample["embedding"].to_numpy()).astype(np.float32))
     rng = np.random.RandomState(seed)
     centroids = x[rng.choice(len(x), min(n_cells, len(x)), replace=False)].copy()

@@ -374,8 +374,9 @@ def _rag_ingest_search(sf_dir: str):
     # stores): extract -> chunk -> embed -> persisted IVF index ->
     # nearest-chunk search.  Self-retrieval (each probe chunk's own
     # embedding must return itself at rank 1) is pinned in
-    # tests/test_rag_pipeline.py; the driver row checks schema +
-    # determinism.
+    # tests/test_rag_pipeline.py.  The probes are the 8 smallest vec_ids,
+    # so the result does not depend on block order; tests/test_exchange.py
+    # pins its digest.
     import tempfile
     import zlib
 
@@ -406,7 +407,13 @@ def _rag_ingest_search(sf_dir: str):
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    qdf = vecs.limit(8).to_pandas().sort_values("vec_id")
+
+    def local_min(df):
+        return df.nsmallest(8, "vec_id")
+
+    # bounded: each block's 8 smallest vec_ids
+    small = vecs.map_batches(local_min, batch_format="pandas").to_pandas()
+    qdf = small.nsmallest(8, "vec_id").sort_values("vec_id")
     queries_m = np.vstack(qdf["embedding"].to_numpy()).astype(np.float32)
     with tempfile.TemporaryDirectory() as tmp:
         build_ivf_index(vecs, tmp, n_cells=8)

@@ -252,9 +252,9 @@ def test_only_exchange_calls_map_groups():
 # Pinned: minhash_dedup, minhash_eval_report and simhash_near_dups (the
 # dedup exchanges), then every rows-only query whose plan crosses an
 # exchange of the other modules (found by recording the bucket_exchange
-# call sites while running every registered query), except
-# rag_ingest_search: its probe set is ``limit(8)`` of an unordered
-# pipeline, so its result changes from run to run at any commit.
+# call sites while running every registered query), and rag_ingest_search
+# (its probes are the 8 smallest vec_ids; it runs extract_pipeline, so it
+# also holds the extraction stage's output through a downstream consumer).
 # Pure-map and aggregate-only plans (simhash_dup_groups, lang_id,
 # quality_scores, ...) cross no exchange.
 PINNED = {
@@ -275,6 +275,7 @@ PINNED = {
     "minhash_dedup": ("94963c1f4c625d6e", 28),
     "minhash_eval_report": ("f58af4fc36f0e42a", 1),
     "minhash_index_probe": ("f628ad9324338c9e", 11),
+    "rag_ingest_search": ("e424e52c60f09a80", 24),
     "semantic_dedup_text": ("96be880b793f1ca9", 481),
     "simhash_near_dups": ("4f6d9e04ee7de13e", 22),
     "table_stats_events": ("bfdba1ab822e0ea9", 4),
