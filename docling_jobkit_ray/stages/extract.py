@@ -73,7 +73,6 @@ def outcomes_to_table(urls: list, outcomes: list[tuple], partition_ids: list[int
     triples = np.frombuffer(b"".join(packed), dtype=np.int64).reshape(-1, 3)
     offsets = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.fromiter(map(len, packed), np.int64, n) // 24, out=offsets[1:])  # 24 B a span
-    span_fields = list(SPAN_TYPE.value_type)
     spans = pa.ListArray.from_arrays(
         pa.array(offsets),
         pa.StructArray.from_arrays(
@@ -82,7 +81,7 @@ def outcomes_to_table(urls: list, outcomes: list[tuple], partition_ids: list[int
                 pa.array(triples[:, 1]),
                 _SPAN_KIND_ARRAY.take(pa.array(triples[:, 2])),
             ],
-            fields=span_fields,
+            fields=list(SPAN_TYPE.value_type),
         ),
     )
     arrays = [
@@ -100,11 +99,9 @@ def outcomes_to_table(urls: list, outcomes: list[tuple], partition_ids: list[int
     return pa.Table.from_arrays(arrays, schema=EXTRACTED_SCHEMA)
 
 
-def _partition_ids(paths: list | None, urls: list) -> list[int]:
+def _partition_ids(paths: list, urls: list) -> list[int]:
     """``partition_id_for_path`` per row: one crc32 per distinct path; a row
     without a path hashes its url."""
-    if paths is None:
-        paths = [None] * len(urls)
     by_path = {p: partition_id_for_path(p, "") for p in set(paths) if p}
     return [by_path[p] if p else partition_id_for_path(None, u) for p, u in zip(paths, urls)]
 
@@ -206,7 +203,11 @@ class ExtractDocuments:
         # column(name).to_pylist(), so a stand-in table can time that read
         urls = batch.column("url").to_pylist()
         htmls = batch.column("html").to_pylist()
-        paths = batch.column("path").to_pylist() if "path" in batch.column_names else None
+        paths = (
+            batch.column("path").to_pylist()
+            if "path" in batch.column_names
+            else [None] * len(urls)
+        )
         if self.options_col:
             if self.options_col not in batch.column_names:
                 # a misconfigured multi-tenant job must not silently run
