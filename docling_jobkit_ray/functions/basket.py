@@ -38,7 +38,6 @@ family, next to pmi_collocations).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
